@@ -7,15 +7,18 @@ use md_nn::optim::AdamConfig;
 use md_simnet::{ChurnPlan, CrashSchedule, FaultPlan};
 use serde::{Deserialize, Serialize};
 
-/// Knobs for the oracle-free robust runtimes: bounded retransmission,
-/// deadline-aware gathers, and timeout-based failure detection.
+/// Knobs for oracle-free runs: bounded retransmission, deadline-aware
+/// gathers, and timeout-based failure detection.
 ///
-/// The robust path activates whenever a [`FaultPlan`] is attached or
-/// [`enabled`](RobustnessConfig::enabled) is set explicitly; otherwise the
-/// runtimes keep the fast oracle-driven path.
+/// A config is robust ([`MdGanConfig::is_robust`]) whenever a
+/// [`FaultPlan`] is attached, the defense is on, or
+/// [`enabled`](RobustnessConfig::enabled) is set explicitly. The runtimes
+/// run the same iteration either way; a robust config makes injected
+/// crashes silent (the failure detector must find them) and gives the
+/// threaded waits their deadlines.
 #[derive(Clone, Copy, Debug)]
 pub struct RobustnessConfig {
-    /// Force the robust path even on a perfect network.
+    /// Make crashes silent even on a perfect network.
     pub enabled: bool,
     /// Retransmissions per data message after a drop (stop-and-wait).
     pub retries: u32,
@@ -204,9 +207,9 @@ impl Default for MdGanConfig {
 }
 
 impl MdGanConfig {
-    /// Whether the runtimes should take the robust (oracle-free,
-    /// fault-tolerant) path: an active fault plan, the free-rider
-    /// defense, or an explicit opt-in.
+    /// Whether crashes are silent (oracle-free, detected from missed
+    /// deadlines) rather than announced: an active fault plan, the
+    /// free-rider defense, or an explicit opt-in.
     pub fn is_robust(&self) -> bool {
         self.robust.enabled || !self.fault.is_none() || self.defense.enabled
     }

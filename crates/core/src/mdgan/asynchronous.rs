@@ -28,14 +28,16 @@ use crate::config::{MdGanConfig, SwapPolicy};
 use crate::defense::FeedbackForensics;
 use crate::error::TrainError;
 use crate::eval::{Evaluator, ScoreTimeline};
+use crate::mdgan::round::Wire;
 use crate::mdgan::server::MdServer;
+use crate::mdgan::state::{self, WorkerSnapshot};
 use crate::mdgan::trainer::{build_parts, swap_permutation};
 use crate::mdgan::worker::MdWorker;
 use md_data::Dataset;
 use md_nn::layer::Layer;
 use md_nn::param::{batch_bytes, param_bytes};
 use md_simnet::{ChurnKind, ChurnPlan, FaultState, Membership, TrafficReport, TrafficStats};
-use md_telemetry::{Event, Phase, Recorder, SpanKind, TraceCtx, Track};
+use md_telemetry::{Event, Phase, Recorder, TraceCtx, Track};
 use md_tensor::rng::Rng64;
 use md_tensor::Tensor;
 use std::sync::Arc;
@@ -117,9 +119,10 @@ pub struct AsyncMdGan {
     swap_interval: usize,
     object_size: usize,
     telemetry: Arc<Recorder>,
-    /// Instantiated fault plan (robust configs only). The async virtual
-    /// tick is the applied-update count.
-    fault_state: Option<FaultState>,
+    /// The simulated network's fault layer (a perfect network unless the
+    /// config sets a fault plan). The async virtual tick is the
+    /// applied-update count.
+    fault_state: FaultState,
     /// Epoch-numbered cluster view. Churn-plan iterations are interpreted
     /// in *update* time (the async notion of a tick): an event with
     /// `iter = t` fires before the event that applies update `t`.
@@ -147,9 +150,7 @@ impl AsyncMdGan {
         let sched_rng = swap_rng.fork(0xA51C);
         let stats = TrafficStats::new(1 + total);
         let swap_interval = cfg.swap_interval(shard_size);
-        let fault_state = cfg
-            .is_robust()
-            .then(|| FaultState::new(cfg.fault.clone(), 1 + total));
+        let fault_state = FaultState::new(cfg.fault.clone(), 1 + total);
         let membership = Membership::new(cfg.workers, total);
         let attacks = resolve_attacks(&cfg.attacks, total);
         let attack_states: Vec<AttackState> = attacks
@@ -225,11 +226,20 @@ impl AsyncMdGan {
         self.stats.report()
     }
 
+    /// The network every data message of this run crosses.
+    fn wire(&self) -> Wire<'_> {
+        Wire {
+            faults: &self.fault_state,
+            stats: &self.stats,
+            telemetry: &self.telemetry,
+            retries: self.cfg.robust.retries,
+        }
+    }
+
     /// Dispatches fresh batches to a worker with no in-flight work. The
     /// dispatched unit is stamped with `ctx` so the worker's eventual
     /// compute links back to this dispatch.
     fn dispatch(&mut self, wi: usize, ctx: TraceCtx) {
-        let wtrack = Track::Worker((wi + 1) as u32);
         let tick = self.updates;
         let _span = self
             .telemetry
@@ -242,65 +252,11 @@ impl AsyncMdGan {
         let ld = self.server.gen.sample_labels(b, &mut self.sched_rng);
         let xd = self.server.gen.generate(&zd, &ld, true);
         let down_bytes = 2 * batch_bytes(b, self.object_size);
-        let mut down_recv = 0u64;
-        if let Some(fs) = &self.fault_state {
-            let telemetry = &self.telemetry;
-            let del = fs.transmit(
-                0,
-                wi + 1,
-                tick,
-                down_bytes,
-                self.cfg.robust.retries,
-                &self.stats,
-                Some(telemetry),
-                ctx,
-                |dup, sent| {
-                    if !dup && sent != 0 {
-                        down_recv = telemetry.trace_instant(
-                            SpanKind::Recv {
-                                from: 0,
-                                bytes: down_bytes,
-                            },
-                            wtrack,
-                            TraceCtx {
-                                trace: ctx.trace,
-                                span: sent,
-                            },
-                            tick,
-                        );
-                    }
-                },
-            );
-            if !del.delivered {
-                // The batches were lost; the worker sits idle until the
-                // next event re-dispatches fresh ones.
-                return;
-            }
-        } else {
-            self.stats.record(0, wi + 1, down_bytes);
-            let sent = self.telemetry.trace_instant(
-                SpanKind::Send {
-                    to: (wi + 1) as u32,
-                    bytes: down_bytes,
-                    attempt: 1,
-                },
-                Track::Server,
-                ctx,
-                tick,
-            );
-            down_recv = self.telemetry.trace_instant(
-                SpanKind::Recv {
-                    from: 0,
-                    bytes: down_bytes,
-                },
-                wtrack,
-                TraceCtx {
-                    trace: ctx.trace,
-                    span: sent,
-                },
-                tick,
-            );
-        }
+        let Some(down_recv) = self.wire().send(0, wi + 1, down_bytes, tick, ctx) else {
+            // The batches were lost; the worker sits idle until the next
+            // event re-dispatches fresh ones.
+            return;
+        };
         self.in_flight[wi] = Some(InFlight {
             version: self.version,
             xg,
@@ -328,10 +284,11 @@ impl AsyncMdGan {
             .find(|&s| s != slot && self.workers[s].is_some());
         let Some(src) = src else { return };
         let params = self.workers[src].as_ref().unwrap().disc_params();
-        self.stats.record(src + 1, 0, param_bytes(params.len()));
         let blob = crate::mdgan::bootstrap_blob(t as u64, &params);
         let blob_len = blob.len() as u64;
-        self.stats.record(0, slot + 1, blob_len);
+        let net = self.wire();
+        net.send_reliable(src + 1, 0, param_bytes(params.len()));
+        net.send_reliable(0, slot + 1, blob_len);
         let disc = crate::mdgan::bootstrap_disc(&blob).expect("fresh blob decodes");
         if let Some(w) = self.workers[slot].as_mut() {
             w.set_disc_params(&disc);
@@ -474,64 +431,14 @@ impl AsyncMdGan {
         drop(fb_span);
         self.telemetry.worker_feedback(wi + 1);
         let up_bytes = batch_bytes(self.cfg.hyper.batch, self.object_size);
-        if let Some(fs) = &self.fault_state {
-            let telemetry = &self.telemetry;
-            let tick = self.updates;
-            let up = fs.transmit(
-                wi + 1,
-                0,
-                tick,
-                up_bytes,
-                self.cfg.robust.retries,
-                &self.stats,
-                Some(telemetry),
-                fctx,
-                |dup, sent| {
-                    if !dup && sent != 0 {
-                        telemetry.trace_instant(
-                            SpanKind::Recv {
-                                from: (wi + 1) as u32,
-                                bytes: up_bytes,
-                            },
-                            Track::Server,
-                            TraceCtx {
-                                trace: fctx.trace,
-                                span: sent,
-                            },
-                            tick,
-                        );
-                    }
-                },
-            );
-            if !up.delivered {
-                // The feedback was lost on the wire: the local work is
-                // wasted and the generator never sees it.
-                return Some(wi);
-            }
-        } else {
-            self.stats.record(wi + 1, 0, up_bytes);
-            let sent = self.telemetry.trace_instant(
-                SpanKind::Send {
-                    to: 0,
-                    bytes: up_bytes,
-                    attempt: 1,
-                },
-                wtrack,
-                fctx,
-                self.updates,
-            );
-            self.telemetry.trace_instant(
-                SpanKind::Recv {
-                    from: (wi + 1) as u32,
-                    bytes: up_bytes,
-                },
-                Track::Server,
-                TraceCtx {
-                    trace: fctx.trace,
-                    span: sent,
-                },
-                self.updates,
-            );
+        if self
+            .wire()
+            .send(wi + 1, 0, up_bytes, self.updates, fctx)
+            .is_none()
+        {
+            // The feedback was lost on the wire: the local work is wasted
+            // and the generator never sees it.
+            return Some(wi);
         }
 
         // Feedback forensics on the single delivered feedback: the async
@@ -618,50 +525,20 @@ impl AsyncMdGan {
                     .collect();
                 for (j, &src) in alive.iter().enumerate() {
                     let dst = alive[perm[j]];
-                    if let Some(fs) = &self.fault_state {
-                        let telemetry = &self.telemetry;
-                        let swap_bytes = param_bytes(params[j].len());
-                        let tick = self.updates;
-                        let del = fs.transmit(
-                            src + 1,
-                            dst + 1,
-                            tick,
-                            swap_bytes,
-                            self.cfg.robust.retries,
-                            &self.stats,
-                            Some(telemetry),
-                            sctx,
-                            |dup, sent| {
-                                if !dup && sent != 0 {
-                                    telemetry.trace_instant(
-                                        SpanKind::Recv {
-                                            from: (src + 1) as u32,
-                                            bytes: swap_bytes,
-                                        },
-                                        Track::Worker((dst + 1) as u32),
-                                        TraceCtx {
-                                            trace: sctx.trace,
-                                            span: sent,
-                                        },
-                                        tick,
-                                    );
-                                }
-                            },
-                        );
-                        if !del.delivered {
-                            // Lost transfer: the destination keeps its old
-                            // discriminator.
-                            continue;
-                        }
-                    } else {
-                        self.stats
-                            .record(src + 1, dst + 1, param_bytes(params[j].len()));
+                    let swap_bytes = param_bytes(params[j].len());
+                    // A lost transfer leaves the destination on its old
+                    // discriminator.
+                    if self
+                        .wire()
+                        .send(src + 1, dst + 1, swap_bytes, self.updates, sctx)
+                        .is_some()
+                    {
+                        self.workers[dst]
+                            .as_mut()
+                            .unwrap()
+                            .set_disc_params(&params[j]);
+                        self.telemetry.worker_swap_in(dst + 1);
                     }
-                    self.workers[dst]
-                        .as_mut()
-                        .unwrap()
-                        .set_disc_params(&params[j]);
-                    self.telemetry.worker_swap_in(dst + 1);
                 }
                 self.telemetry.event(Event::SwapDone {
                     iter: t,
@@ -726,37 +603,23 @@ impl AsyncMdGan {
     /// Robust-mode state (per-link fault RNG) is *not* captured; resuming
     /// a lossy run restarts the link fates cold (see DESIGN.md §10).
     pub fn checkpoint(&self) -> Checkpoint {
-        let n = self.workers.len();
-        let mut ck = Checkpoint::new(self.updates);
-        ck.push("generator", self.server.gen_params());
-        let g_opt = self.server.opt_state();
-        ck.push("opt_g_m", g_opt.m);
-        ck.push("opt_g_v", g_opt.v);
-        let mut adam_t = vec![0u64; 1 + n];
-        adam_t[0] = g_opt.t;
-        ck.push_u64("rng_server", self.server.rng_state_words().to_vec());
-        ck.push_u64("rng_swap", self.swap_rng.state_words().to_vec());
-        ck.push_u64("rng_sched", self.sched_rng.state_words().to_vec());
-        let alive: Vec<u64> = self
-            .workers
-            .iter()
-            .map(|w| u64::from(w.is_some()))
-            .collect();
-        for (i, w) in self.workers.iter().enumerate() {
-            let Some(w) = w else { continue };
-            let id = i + 1;
-            ck.push(format!("disc_{id}"), w.disc_params());
-            let d_opt = w.opt_state();
-            adam_t[id] = d_opt.t;
-            ck.push(format!("opt_d_{id}_m"), d_opt.m);
-            ck.push(format!("opt_d_{id}_v"), d_opt.v);
-            ck.push_u64(
-                format!("rng_sampler_{id}"),
-                w.sampler_state_words().to_vec(),
-            );
-        }
-        ck.push_u64("adam_t", adam_t);
-        ck.push_u64("alive", alive);
+        let mut ck = state::encode(
+            self.updates,
+            &self.server,
+            &[("rng_swap", &self.swap_rng), ("rng_sched", &self.sched_rng)],
+            self.workers
+                .iter()
+                .map(|w| w.as_ref().map(WorkerSnapshot::of))
+                .collect(),
+            vec![
+                self.version,
+                self.updates,
+                self.async_stats.updates,
+                self.async_stats.staleness_sum,
+                self.async_stats.staleness_max,
+            ],
+            self.stats.state_words(),
+        );
         let in_flight: Vec<u64> = self
             .in_flight
             .iter()
@@ -778,17 +641,6 @@ impl AsyncMdGan {
             ck.push_u64(format!("fl_{i}_ver"), vec![fl.version]);
         }
         ck.push_u64("in_flight", in_flight);
-        ck.push_u64(
-            "counters",
-            vec![
-                self.version,
-                self.updates,
-                self.async_stats.updates,
-                self.async_stats.staleness_sum,
-                self.async_stats.staleness_max,
-            ],
-        );
-        ck.push_u64("traffic", self.stats.state_words());
         // Only churn-enabled runs carry membership state, keeping the
         // default-path checkpoint format byte-identical.
         if !self.cfg.churn.is_none() {
@@ -803,66 +655,20 @@ impl AsyncMdGan {
     pub fn restore(&mut self, ck: &Checkpoint) -> Result<(), TrainError> {
         let ckerr = |e: std::io::Error| TrainError::Checkpoint(e.to_string());
         let n = self.workers.len();
-        let gen = ck
-            .require_len("generator", self.server.gen_params_len())
-            .map_err(ckerr)?;
-        self.server.set_gen_params(gen);
-        let alive = ck.require_u64_len("alive", n).map_err(ckerr)?.to_vec();
-        let adam_t = ck.require_u64_len("adam_t", 1 + n).map_err(ckerr)?.to_vec();
-        let g_state = md_nn::optim::AdamState {
-            t: adam_t[0],
-            m: ck.require("opt_g_m").map_err(ckerr)?.to_vec(),
-            v: ck.require("opt_g_v").map_err(ckerr)?.to_vec(),
-        };
-        self.server
-            .import_opt_state(&g_state)
-            .map_err(TrainError::Checkpoint)?;
-        let words = |name: &str| -> Result<[u64; Rng64::STATE_WORDS], TrainError> {
-            let w = ck
-                .require_u64_len(name, Rng64::STATE_WORDS)
-                .map_err(ckerr)?;
-            Ok(std::array::from_fn(|i| w[i]))
-        };
-        self.server.set_rng_state_words(words("rng_server")?);
-        self.swap_rng = Rng64::from_state_words(words("rng_swap")?);
-        self.sched_rng = Rng64::from_state_words(words("rng_sched")?);
-
-        // Index drives three things at once: the alive bitmap, the worker
-        // slot, and the 1-based section names.
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..n {
-            let id = i + 1;
-            if alive[i] == 0 {
-                self.workers[i] = None;
-                continue;
-            }
-            let Some(w) = self.workers[i].as_mut() else {
-                return Err(TrainError::Checkpoint(format!(
-                    "checkpoint has worker {id} alive but it already crashed here"
-                )));
-            };
-            let disc = ck
-                .require_len(&format!("disc_{id}"), w.disc_params_len())
-                .map_err(ckerr)?;
-            w.set_disc_params(disc);
-            let d_state = md_nn::optim::AdamState {
-                t: adam_t[id],
-                m: ck
-                    .require(&format!("opt_d_{id}_m"))
-                    .map_err(ckerr)?
-                    .to_vec(),
-                v: ck
-                    .require(&format!("opt_d_{id}_v"))
-                    .map_err(ckerr)?
-                    .to_vec(),
-            };
-            w.import_opt_state(&d_state)
-                .map_err(TrainError::Checkpoint)?;
-            let sw = ck
-                .require_u64_len(&format!("rng_sampler_{id}"), Rng64::STATE_WORDS)
-                .map_err(ckerr)?;
-            w.set_sampler_state_words(std::array::from_fn(|j| sw[j]));
-        }
+        let counters = state::decode(
+            ck,
+            &mut self.server,
+            &mut [
+                ("rng_swap", &mut self.swap_rng),
+                ("rng_sched", &mut self.sched_rng),
+            ],
+            &mut self.workers,
+            &self.stats,
+            5,
+        )?
+        .ok_or_else(|| {
+            TrainError::Checkpoint("parameter-only checkpoint cannot resume an async run".into())
+        })?;
 
         let mask = ck.require_u64_len("in_flight", n).map_err(ckerr)?.to_vec();
         for (i, &present) in mask.iter().enumerate() {
@@ -891,7 +697,6 @@ impl AsyncMdGan {
             });
         }
 
-        let counters = ck.require_u64_len("counters", 5).map_err(ckerr)?;
         self.version = counters[0];
         self.updates = counters[1];
         self.async_stats = AsyncStats {
@@ -899,9 +704,6 @@ impl AsyncMdGan {
             staleness_sum: counters[3],
             staleness_max: counters[4],
         };
-        self.stats
-            .load_state_words(ck.require_u64("traffic").map_err(ckerr)?)
-            .map_err(TrainError::Checkpoint)?;
         if !self.cfg.churn.is_none() {
             self.membership
                 .load_state_words(ck.require_u64("membership").map_err(ckerr)?)
@@ -973,7 +775,7 @@ mod tests {
         let mut md = build(AsyncConfig::default());
         let plan = md_simnet::FaultPlan::lossy(seed, drop);
         md.cfg.fault = plan.clone();
-        md.fault_state = Some(FaultState::new(plan, 1 + md.cfg.workers));
+        md.fault_state = FaultState::new(plan, 1 + md.cfg.workers);
         md
     }
 
@@ -1068,6 +870,7 @@ mod tests {
         );
         let feedbacks: u64 = rec.worker_stats().iter().map(|w| w.feedbacks).sum();
         assert_eq!(feedbacks, 60);
+        assert_eq!(rec.counter(Counter::BytesSent), md.traffic().bytes_sent());
     }
 
     #[test]

@@ -10,14 +10,20 @@
 //!   emulation).
 //! * [`threaded`] — one-thread-per-node runtime over `md-simnet`, bit-for-
 //!   bit equivalent to the sequential runtime given the same seed.
+//! * `round` — the server's round bookkeeping both synchronous runtimes
+//!   share (view, failure detector, forensics, quorum, swap candidates).
+//! * [`state`] — the checkpoint sections every runtime shares.
 
 pub mod asynchronous;
+mod round;
 pub mod server;
+pub mod state;
 pub mod threaded;
 pub mod trainer;
 pub mod worker;
 
 use md_tensor::Tensor;
+use state::WorkerSnapshot;
 
 /// Messages exchanged in the threaded runtime.
 #[derive(Clone, Debug)]
@@ -72,18 +78,11 @@ pub enum MdMsg {
     WorkerState {
         /// 1-based worker id.
         id: usize,
-        /// Flat discriminator parameters `θ`.
-        disc: Vec<f32>,
-        /// Adam step count of the discriminator optimizer.
-        adam_t: u64,
-        /// Adam first moments.
-        opt_m: Vec<f32>,
-        /// Adam second moments.
-        opt_v: Vec<f32>,
-        /// Shard-sampler RNG stream position.
-        sampler: Vec<u64>,
+        /// Discriminator, optimizer and sampler state.
+        state: WorkerSnapshot,
     },
-    /// Server → worker: crash silently (robust mode's fail-stop injection).
+    /// Server → worker: crash silently (a robust run's fail-stop
+    /// injection; an announced crash is a [`Stop`](MdMsg::Stop)).
     ///
     /// Unlike [`Stop`](MdMsg::Stop) the worker keeps draining its queue
     /// without answering, so its death is observable only through missed

@@ -5,37 +5,38 @@
 //! directly worker-to-worker. Given the same [`MdGanConfig`] and shards,
 //! this runtime produces **bit-for-bit** the same generator as the
 //! sequential [`MdGan`](crate::mdgan::trainer::MdGan): RNG streams are
-//! forked identically and the server sorts feedbacks by worker id before
-//! merging (an integration test asserts the equivalence).
+//! forked identically, the server sorts feedbacks by worker id before
+//! merging, and both runtimes make every round decision through the same
+//! `ServerBook` (an integration test asserts the equivalence).
 //!
-//! With an active [`FaultPlan`](md_simnet::FaultPlan) (or
-//! `cfg.robust.enabled`) the runtime switches to the **robust** path:
-//! data messages go through the seeded fault layer with bounded retry,
-//! the server gathers feedbacks with a deadline and proceeds on a quorum,
-//! worker liveness is inferred from missed deadlines (no crash oracle —
-//! injected crashes are silent), and discriminator swaps are routed around
-//! suspected peers. Fates are drawn per logical message from the plan's
-//! seed, so the robust path too is bit-for-bit equivalent to the
-//! sequential trainer running the same plan.
+//! There is one server loop and one worker loop. Data messages go through
+//! [`Endpoint::send_data_ctx`] — across the seeded fault layer when the
+//! config sets a [`FaultPlan`](md_simnet::FaultPlan), straight onto the
+//! channel otherwise — so fates are drawn per logical message from the
+//! plan's seed, in the sequential runtime's order. `cfg.is_robust()`
+//! decides two things only: whether an injected crash is announced (the
+//! thread is stopped and the server's view drops it at once) or silent
+//! (the thread keeps draining its queue unanswered and the failure
+//! detector infers the death from missed deadlines), and whether the
+//! feedback gather and the swap wait have a deadline. A run with announced
+//! crashes waits without one, so a slow iteration can never break bit
+//! identity.
 
 use crate::arch::ArchSpec;
-use crate::byzantine::{resolve_attacks, Attack, AttackState};
+use crate::byzantine::{resolve_attacks, AttackState};
 use crate::checkpoint::Checkpoint;
 use crate::config::MdGanConfig;
-use crate::defense::FeedbackForensics;
 use crate::error::TrainError;
 use crate::eval::{Evaluator, ScoreTimeline};
+use crate::mdgan::round::{Change, ServerBook};
 use crate::mdgan::server::MdServer;
-use crate::mdgan::trainer::{build_parts, swap_permutation};
+use crate::mdgan::state::{self, WorkerSnapshot};
+use crate::mdgan::trainer::{build_attack_states, build_parts, swap_permutation};
 use crate::mdgan::worker::MdWorker;
 use crate::mdgan::MdMsg;
 use md_data::Dataset;
-use md_nn::optim::AdamState;
 use md_nn::param::{batch_bytes, param_bytes};
-use md_simnet::{
-    ChurnKind, ChurnPlan, Endpoint, FailureDetector, Liveness, Membership, Router, TrafficReport,
-    TrafficStats, SERVER,
-};
+use md_simnet::{Endpoint, Router, TrafficReport, TrafficStats, SERVER};
 use md_telemetry::{Event, Phase, Recorder, TraceCtx, Track};
 use md_tensor::rng::Rng64;
 use std::sync::Arc;
@@ -53,13 +54,6 @@ pub struct ThreadedResult {
     pub alive: Vec<usize>,
 }
 
-/// Robust-mode knobs a worker thread needs.
-#[derive(Clone, Copy)]
-struct WorkerRobust {
-    swap_timeout: Duration,
-    retries: u32,
-}
-
 /// Worker-thread body: serve batch/swap/stop requests until stopped.
 ///
 /// Messages that arrive while the worker is blocked waiting for its swap
@@ -67,16 +61,17 @@ struct WorkerRobust {
 /// server does not wait for swaps to finish) are buffered and processed in
 /// order afterwards.
 ///
-/// In robust mode (`robust` is `Some`) the swap wait is deadline-bounded
-/// (on timeout the worker keeps its old discriminator), feedbacks and
-/// discriminators go through the fault layer, and a `Crash` message puts
-/// the worker into a silent drain loop so its death is only observable via
-/// missed deadlines.
+/// With a `swap_timeout` the swap wait is deadline-bounded (on timeout the
+/// worker keeps its old discriminator). Feedbacks and discriminators go
+/// through the fault layer with up to `retries` retransmissions, and a
+/// `Crash` message puts the worker into a silent drain loop so its death
+/// is only observable via missed deadlines.
 fn worker_loop(
     mut worker: MdWorker,
     ep: Endpoint<MdMsg>,
     telemetry: Arc<Recorder>,
-    robust: Option<WorkerRobust>,
+    swap_timeout: Option<Duration>,
+    retries: u32,
     mut attack: AttackState,
 ) {
     use std::collections::VecDeque;
@@ -120,7 +115,6 @@ fn worker_loop(
                 drop(fb_span);
                 telemetry.worker_feedback(ep.id());
                 let bytes = (grad.len() * 4) as u64;
-                let retries = robust.map_or(0, |r| r.retries);
                 ep.send_data_ctx(
                     SERVER,
                     MdMsg::Feedback { iter, g_id, grad },
@@ -133,36 +127,24 @@ fn worker_loop(
             MdMsg::SwapTo { to, iter } => {
                 let params = worker.disc_params();
                 let bytes = param_bytes(params.len());
-                let retries = robust.map_or(0, |r| r.retries);
                 ep.send_data_ctx(to, MdMsg::Disc { params }, bytes, iter as u64, retries, ctx);
-                let incoming = match pending_disc.take() {
-                    Some(p) => Some(p),
-                    None => match robust {
-                        // Oracle mode: the counterpart always answers.
-                        None => loop {
-                            let e = ep.recv();
-                            match e.msg {
-                                MdMsg::Disc { params } => break Some(params),
-                                other => buffered.push_back((other, e.ctx)),
+                // The counterpart may be dead or its parameters lost: with
+                // a deadline, wait at most `swap_timeout`.
+                let incoming = pending_disc.take().or_else(|| {
+                    let deadline = swap_timeout.map(|t| Instant::now() + t);
+                    loop {
+                        let env = match deadline {
+                            None => ep.recv(),
+                            Some(d) => {
+                                ep.recv_deadline(d.saturating_duration_since(Instant::now()))?
                             }
-                        },
-                        // Robust mode: the counterpart may be dead or its
-                        // parameters lost — wait at most swap_timeout.
-                        Some(rb) => {
-                            let deadline = Instant::now() + rb.swap_timeout;
-                            loop {
-                                let left = deadline.saturating_duration_since(Instant::now());
-                                match ep.recv_deadline(left) {
-                                    Some(env) => match env.msg {
-                                        MdMsg::Disc { params } => break Some(params),
-                                        other => buffered.push_back((other, env.ctx)),
-                                    },
-                                    None => break None,
-                                }
-                            }
+                        };
+                        match env.msg {
+                            MdMsg::Disc { params } => break Some(params),
+                            other => buffered.push_back((other, env.ctx)),
                         }
-                    },
-                };
+                    }
+                });
                 match incoming {
                     Some(params) => {
                         worker.set_disc_params(&params);
@@ -189,7 +171,6 @@ fn worker_loop(
                 // unlike the zero-byte StateRequest control path).
                 let params = worker.disc_params();
                 let bytes = param_bytes(params.len());
-                let retries = robust.map_or(0, |r| r.retries);
                 ep.send_data_ctx(
                     SERVER,
                     MdMsg::Disc { params },
@@ -205,20 +186,9 @@ fn worker_loop(
                 worker.set_disc_params(&disc);
             }
             MdMsg::StateRequest => {
-                let opt = worker.opt_state();
-                ep.send(
-                    SERVER,
-                    MdMsg::WorkerState {
-                        id: ep.id(),
-                        disc: worker.disc_params(),
-                        adam_t: opt.t,
-                        opt_m: opt.m,
-                        opt_v: opt.v,
-                        sampler: worker.sampler_state_words().to_vec(),
-                    },
-                    0,
-                )
-                .expect("server endpoint dropped");
+                let state = WorkerSnapshot::of(&worker);
+                ep.send(SERVER, MdMsg::WorkerState { id: ep.id(), state }, 0)
+                    .expect("server endpoint dropped");
             }
             MdMsg::Crash => {
                 // Fail silently: keep draining (so senders never observe
@@ -344,16 +314,6 @@ fn run_threaded_inner(
 ) -> Result<ThreadedResult, TrainError> {
     let object_size = shards[0].object_size();
     let shard_size = shards[0].len();
-    let churned = !cfg.churn.is_none();
-    if churned {
-        ChurnPlan::from_events(cfg.workers, cfg.churn.events().to_vec())
-            .expect("invalid churn plan");
-    }
-    let total = cfg.total_workers();
-    let (mut server, workers, mut swap_rng) = build_parts(spec, shards, &cfg);
-    let k = cfg.k.resolve(cfg.workers);
-    let swap_interval = cfg.swap_interval(shard_size);
-    let b = cfg.hyper.batch;
     let robust = cfg.is_robust();
     if robust && ckpt.is_some() {
         return Err(TrainError::Checkpoint(
@@ -362,25 +322,24 @@ fn run_threaded_inner(
                 .into(),
         ));
     }
-    if churned && ckpt.is_some() {
+    if !cfg.churn.is_none() && ckpt.is_some() {
         return Err(TrainError::Checkpoint(
             "elastic threaded runs cannot checkpoint/resume: \
              the membership gather is not implemented"
                 .into(),
         ));
     }
-    assert!(
-        !robust
-            || cfg
-                .churn
-                .events()
-                .iter()
-                .all(|e| e.kind == ChurnKind::Crash),
-        "robust mode supports crash-only churn plans (joins and leaves need the oracle path)"
-    );
+    let mut book = ServerBook::new(&cfg);
+    let total = cfg.total_workers();
+    let (mut server, workers, mut swap_rng) = build_parts(spec, shards, &cfg);
+    let k = cfg.k.resolve(cfg.workers);
+    let swap_interval = cfg.swap_interval(shard_size);
+    let down_bytes = 2 * batch_bytes(cfg.hyper.batch, object_size);
 
+    // A perfect network installs no fault layer: data messages then go
+    // straight onto the channels, with no per-delivery payload copy.
     let mut router: Router<MdMsg> = Router::new(total).with_telemetry(Arc::clone(&telemetry));
-    if robust {
+    if !cfg.fault.is_none() {
         router = router.with_faults(cfg.fault.clone());
     }
     let stats = router.stats();
@@ -397,62 +356,48 @@ fn run_threaded_inner(
     let mut workers: Vec<Option<MdWorker>> = workers.into_iter().map(Some).collect();
     // Attack states snapshot the workers' *initial* discriminators (the
     // pre-trained-mimicry strategy), exactly like `MdGan::new` does.
-    let attacks = resolve_attacks(&cfg.attacks, total);
-    let attack_states: Vec<Option<AttackState>> = workers
-        .iter()
-        .enumerate()
-        .map(|(wi, w)| {
-            w.as_ref().map(|worker| {
-                let snap =
-                    matches!(attacks[wi], Attack::PretrainedMimic).then(|| worker.disc_params());
-                AttackState::new(attacks[wi], cfg.seed, wi, snap)
-            })
-        })
-        .collect();
+    let attack_states =
+        build_attack_states(&resolve_attacks(&cfg.attacks, total), &workers, cfg.seed);
     let mut start_iter = 0usize;
     let mut swaps = 0usize;
-    if let Some(pol) = ckpt {
-        if pol.path.exists() {
-            let ck = Checkpoint::load(&pol.path)?;
-            restore_parts(
-                &ck,
-                &mut server,
-                &mut workers,
-                &mut swap_rng,
-                &mut attack_rng,
-                &mut host_rng,
-                &stats,
-                &mut swaps,
-            )?;
-            start_iter = ck.iteration as usize;
-            telemetry.event(Event::Resumed { iter: start_iter });
+    if let Some(pol) = ckpt.filter(|pol| pol.path.exists()) {
+        let ck = Checkpoint::load(&pol.path)?;
+        if ck.get_u64("disc_hosts").is_some() {
+            return Err(TrainError::Checkpoint(
+                "checkpoint uses discriminator-count subsetting, \
+                 which the threaded runtime does not support"
+                    .into(),
+            ));
         }
+        let rngs = &mut [
+            ("rng_swap", &mut swap_rng),
+            ("rng_attack", &mut attack_rng),
+            ("rng_host", &mut host_rng),
+        ];
+        if let Some(counters) = state::decode(&ck, &mut server, rngs, &mut workers, &stats, 1)? {
+            swaps = counters[0] as usize;
+        }
+        start_iter = ck.iteration as usize;
+        telemetry.event(Event::Resumed { iter: start_iter });
     }
 
     let mut timeline = ScoreTimeline::new();
-    let mut alive_mask: Vec<bool> = workers.iter().map(|w| w.is_some()).collect();
-    let spawned: Vec<bool> = alive_mask.clone();
-    // Pending joiners are spawned up front but kept out of the view until
-    // their join event fires; the membership is the source of truth.
-    let mut membership = Membership::new(cfg.workers, total);
-    let mut detector = FailureDetector::new(cfg.workers, cfg.robust.suspect_after)
-        .expect("suspect_after must be at least 1")
-        .with_eviction(cfg.robust.evict_after);
-    let gather_timeout = Duration::from_millis(cfg.robust.gather_timeout_ms);
-    let worker_robust = robust.then_some(WorkerRobust {
-        swap_timeout: Duration::from_millis(cfg.robust.swap_timeout_ms),
-        retries: cfg.robust.retries,
-    });
-    let defense_on = cfg.defense.enabled;
-    let mut forensics = FeedbackForensics::new(cfg.defense, total);
+    for (running, w) in book.running.iter_mut().zip(&workers) {
+        *running = w.is_some();
+    }
+    // Workers dead at resume time are never spawned (their endpoint is
+    // gone); every spawned thread gets exactly one Stop.
+    let mut stopped: Vec<bool> = workers.iter().map(|w| w.is_none()).collect();
+    let gather_timeout = robust.then(|| Duration::from_millis(cfg.robust.gather_timeout_ms));
+    let swap_timeout = robust.then(|| Duration::from_millis(cfg.robust.swap_timeout_ms));
+    let retries = cfg.robust.retries;
     let mut ckpt_err: Option<TrainError> = None;
 
     crossbeam::thread::scope(|scope| {
-        for ((slot, ep), atk) in workers.into_iter().zip(worker_eps).zip(attack_states) {
+        for ((slot, ep), attack) in workers.into_iter().zip(worker_eps).zip(attack_states) {
             let Some(worker) = slot else { continue };
-            let attack = atk.expect("alive worker slot has an attack state");
             let telemetry = Arc::clone(&telemetry);
-            scope.spawn(move |_| worker_loop(worker, ep, telemetry, worker_robust, attack));
+            scope.spawn(move |_| worker_loop(worker, ep, telemetry, swap_timeout, retries, attack));
         }
 
         if start_iter == 0 {
@@ -475,354 +420,128 @@ fn run_threaded_inner(
             let tick = i as u64;
             let root = telemetry.trace_root(tick);
             let rctx = root.ctx();
-            // Fail-stop crashes: the thread leaves the computation and its
-            // shard is gone. Oracle mode stops the thread outright; robust
-            // mode crashes it *silently* — the server must notice on its
-            // own through missed deadlines.
-            for (w, alive) in alive_mask.iter_mut().enumerate() {
-                if *alive && cfg.crash.is_crashed(w + 1, i) {
-                    *alive = false;
-                    membership.crash(w);
-                    telemetry.event(Event::WorkerFault {
-                        iter: i,
-                        worker: w + 1,
-                    });
-                    let fate = if robust { MdMsg::Crash } else { MdMsg::Stop };
-                    server_ep
-                        .send(w + 1, fate, 0)
-                        .expect("destination endpoint dropped");
-                }
-            }
-            // Churn-plan crashes and joins fire at the start of the
-            // iteration, mirroring the sequential trainer exactly (same
-            // events, same bootstrap byte charges). Graceful leaves drain
-            // through the iteration and depart at the end.
-            if churned {
-                let evs: Vec<md_simnet::ChurnEvent> = cfg.churn.events_at(i).copied().collect();
-                for ev in &evs {
-                    let slot = ev.worker - 1;
-                    match ev.kind {
-                        ChurnKind::Crash => {
-                            if membership.apply(ev).is_ok() {
-                                alive_mask[slot] = false;
-                                telemetry.event(Event::WorkerFault {
-                                    iter: i,
-                                    worker: ev.worker,
-                                });
-                                let fate = if robust { MdMsg::Crash } else { MdMsg::Stop };
-                                server_ep
-                                    .send(ev.worker, fate, 0)
-                                    .expect("destination endpoint dropped");
-                            }
-                        }
-                        ChurnKind::Join => {
-                            membership.apply(ev).expect("validated churn plan");
-                            telemetry.event(Event::WorkerJoined {
-                                iter: i,
-                                worker: ev.worker,
-                            });
-                            // Bootstrap from the lowest-id alive worker:
-                            // pull its snapshot (charged W→C), wrap it in a
-                            // checkpoint-v2 blob, forward it to the joiner
-                            // (charged C→W at blob size).
-                            let src = membership
-                                .alive()
-                                .into_iter()
-                                .find(|&s| s != slot && alive_mask[s]);
-                            if let Some(src) = src {
-                                server_ep
-                                    .send_ctx(src + 1, MdMsg::DiscPull { iter: i }, 0, rctx)
-                                    .expect("destination endpoint dropped");
-                                let params = match server_ep.recv().msg {
-                                    MdMsg::Disc { params } => params,
-                                    other => {
-                                        panic!("server expected a bootstrap Disc, got {other:?}")
-                                    }
-                                };
-                                let blob = crate::mdgan::bootstrap_blob(i as u64, &params);
-                                let blob_len = blob.len() as u64;
-                                server_ep
-                                    .send_ctx(ev.worker, MdMsg::Bootstrap { blob }, blob_len, rctx)
-                                    .expect("destination endpoint dropped");
-                                telemetry.event(Event::BootstrapDone {
-                                    iter: i,
-                                    worker: ev.worker,
-                                    bytes: blob_len,
-                                });
-                            }
-                        }
-                        ChurnKind::Leave => {}
-                    }
-                }
-            }
-
-            let alive_now;
-            if robust {
-                // The server has no oracle: it talks to every worker it
-                // does not currently suspect (plus, on probe rounds, the
-                // suspected ones, so false suspects can rejoin).
-                let probe = cfg.robust.probe_period > 0
-                    && i.checked_rem(cfg.robust.probe_period) == Some(0);
-                let expected: Vec<usize> = (0..total)
-                    .filter(|&w| !detector.is_evicted(w) && (!detector.is_suspected(w) || probe))
-                    .collect();
-                let mut heard_count = 0;
-                if !expected.is_empty() {
-                    let gen_span = telemetry.span_at(Phase::GenForward, Track::Server, rctx, tick);
-                    let batches = server.generate_batches(k);
-                    drop(gen_span);
-                    for &wi in &expected {
-                        let (g_id, d_id) = MdServer::assign(wi, k);
-                        server_ep.send_data_ctx(
-                            wi + 1,
-                            MdMsg::Batches {
-                                iter: i,
-                                g_id,
-                                xg: batches[g_id].0.clone(),
-                                xg_labels: batches[g_id].1.clone(),
-                                xd: batches[d_id].0.clone(),
-                                xd_labels: batches[d_id].1.clone(),
-                            },
-                            2 * batch_bytes(b, object_size),
-                            i as u64,
-                            cfg.robust.retries,
-                            rctx,
-                        );
-                    }
-                    let expected_ids: Vec<usize> = expected.iter().map(|&w| w + 1).collect();
-                    let quorum = cfg.robust.quorum(expected_ids.len());
-                    let gather = server_ep.recv_until_quorum(
-                        &expected_ids,
-                        quorum,
-                        gather_timeout,
-                        |e| matches!(&e.msg, MdMsg::Feedback { iter, .. } if *iter == i),
-                    );
-                    // Envelopes arrive sorted by sender, so the forensics
-                    // observes the exact triples the sequential trainer
-                    // builds (ascending worker slot).
-                    let feedbacks: Vec<(usize, usize, md_tensor::Tensor)> = gather
-                        .envelopes
-                        .into_iter()
-                        .map(|e| match e.msg {
-                            MdMsg::Feedback { g_id, grad, .. } => (e.from - 1, g_id, grad),
-                            other => panic!("server expected Feedback, got {other:?}"),
-                        })
-                        .collect();
-                    let mut quarantined: Vec<bool> = vec![false; feedbacks.len()];
-                    if defense_on {
-                        let items: Vec<(usize, usize, &md_tensor::Tensor)> = feedbacks
-                            .iter()
-                            .map(|(wi, g_id, f)| (*wi, *g_id, f))
-                            .collect();
-                        let verdicts = forensics.observe(&items);
-                        for (n, v) in verdicts.iter().enumerate() {
-                            quarantined[n] = v.quarantined;
-                            if v.newly_flagged {
-                                telemetry.event(Event::WorkerFlagged {
-                                    iter: i,
-                                    worker: v.worker + 1,
-                                    norm_score: f64::from(v.norm_score),
-                                    self_cos: f64::from(v.self_cos),
-                                    peer_cos: f64::from(v.peer_cos),
-                                });
-                            }
-                            if v.cleared {
-                                telemetry.event(Event::WorkerCleared {
-                                    iter: i,
-                                    worker: v.worker + 1,
-                                });
-                            }
-                        }
-                    }
-                    for &wi in &expected {
-                        let flagged = defense_on && forensics.is_flagged(wi);
-                        if gather.heard.contains(&(wi + 1)) && !flagged {
-                            if detector.heard(wi) == Liveness::Rejoined {
-                                telemetry.event(Event::WorkerRejoined {
-                                    iter: i,
-                                    worker: wi + 1,
-                                });
-                            }
+            // Fail-stop crashes and joins, mirroring the sequential trainer
+            // exactly (same events, same bootstrap byte charges).
+            for change in book.begin(&cfg, i, &telemetry) {
+                match change {
+                    // An announced crash stops the thread; a silent one
+                    // leaves it draining its queue without answering.
+                    Change::Crashed(w) => {
+                        let fate = if robust {
+                            MdMsg::Crash
                         } else {
-                            match detector.missed(wi) {
-                                Liveness::Suspected => {
-                                    telemetry.event(Event::WorkerSuspected {
-                                        iter: i,
-                                        worker: wi + 1,
-                                    });
-                                }
-                                Liveness::Evicted => {
-                                    membership.evict(wi);
-                                    stats.retire(wi + 1);
-                                    forensics.retire(wi);
-                                    if flagged {
-                                        telemetry.event(Event::FreeriderEvicted {
-                                            iter: i,
-                                            worker: wi + 1,
-                                        });
-                                    }
-                                    telemetry.event(Event::WorkerEvicted {
-                                        iter: i,
-                                        worker: wi + 1,
-                                    });
-                                }
-                                _ => {}
-                            }
-                        }
-                    }
-                    heard_count = gather.heard.len();
-                    let kept: Vec<(usize, md_tensor::Tensor)> = feedbacks
-                        .into_iter()
-                        .zip(quarantined.iter())
-                        .filter(|(_, &q)| !q)
-                        .map(|((_, g_id, f), _)| (g_id, f))
-                        .collect();
-                    if gather.met_quorum && heard_count > 0 && !kept.is_empty() {
-                        let upd_span = telemetry.span_at(Phase::GUpdate, Track::Server, rctx, tick);
-                        server.apply_feedbacks_robust(&kept, kept.len(), cfg.aggregation);
-                        drop(upd_span);
-                    } else if heard_count > 0 {
-                        telemetry.event(Event::Custom {
-                            name: "quorum_missed",
-                            value: i as f64,
-                        });
-                    }
-
-                    if (i + 1) % swap_interval == 0 {
-                        let swap_span = telemetry.span_at(Phase::Swap, Track::Server, rctx, tick);
-                        let sctx = swap_span.ctx();
-                        // Swaps are routed around suspected peers.
-                        let candidates: Vec<usize> =
-                            (0..total).filter(|&w| !detector.is_suspected(w)).collect();
-                        if let Some(perm) =
-                            swap_permutation(cfg.swap, candidates.len(), &mut swap_rng)
-                        {
-                            for (j, &src) in candidates.iter().enumerate() {
-                                let dst = candidates[perm[j]];
-                                server_ep
-                                    .send_ctx(
-                                        src + 1,
-                                        MdMsg::SwapTo {
-                                            to: dst + 1,
-                                            iter: i,
-                                        },
-                                        0,
-                                        sctx,
-                                    )
-                                    .expect("destination endpoint dropped");
-                            }
-                            swaps += 1;
-                            telemetry.event(Event::SwapDone {
-                                iter: i,
-                                moved: candidates.len(),
-                            });
-                        }
-                        drop(swap_span);
-                    }
-                }
-                alive_now = heard_count;
-            } else {
-                let alive: Vec<usize> = (0..total)
-                    .filter(|&w| alive_mask[w] && membership.is_alive(w))
-                    .collect();
-                if !alive.is_empty() {
-                    // With churn the k-batch SPLIT re-resolves over the
-                    // current view; without it the construction-time k is
-                    // kept (bit-identical to the pre-elastic behavior).
-                    let k_now = if churned {
-                        cfg.k.resolve(alive.len())
-                    } else {
-                        k
-                    };
-                    let gen_span = telemetry.span_at(Phase::GenForward, Track::Server, rctx, tick);
-                    let batches = server.generate_batches(k_now);
-                    drop(gen_span);
-                    for (pos, &wi) in alive.iter().enumerate() {
-                        let (g_id, d_id) = if churned {
-                            MdServer::assign(pos, k_now)
-                        } else {
-                            MdServer::assign(wi, k)
+                            stopped[w] = true;
+                            MdMsg::Stop
                         };
                         server_ep
-                            .send_ctx(
-                                wi + 1,
-                                MdMsg::Batches {
-                                    iter: i,
-                                    g_id,
-                                    xg: batches[g_id].0.clone(),
-                                    xg_labels: batches[g_id].1.clone(),
-                                    xd: batches[d_id].0.clone(),
-                                    xd_labels: batches[d_id].1.clone(),
-                                },
-                                2 * batch_bytes(b, object_size),
-                                rctx,
-                            )
+                            .send(w + 1, fate, 0)
                             .expect("destination endpoint dropped");
                     }
-                    let envs = server_ep.recv_n_sorted(alive.len());
-                    let feedbacks: Vec<(usize, md_tensor::Tensor)> = envs
-                        .into_iter()
-                        .map(|e| match e.msg {
-                            MdMsg::Feedback { g_id, grad, .. } => (g_id, grad),
-                            other => panic!("server expected Feedback, got {other:?}"),
-                        })
-                        .collect();
-                    let upd_span = telemetry.span_at(Phase::GUpdate, Track::Server, rctx, tick);
-                    server.apply_feedbacks_robust(&feedbacks, alive.len(), cfg.aggregation);
-                    drop(upd_span);
+                    // Bootstrap: pull the source's snapshot (charged W→C),
+                    // wrap it in a checkpoint-v2 blob, forward it to the
+                    // joiner (charged C→W at blob size).
+                    Change::Joined { slot, source } => {
+                        let Some(src) = source else { continue };
+                        server_ep
+                            .send_ctx(src + 1, MdMsg::DiscPull { iter: i }, 0, rctx)
+                            .expect("destination endpoint dropped");
+                        let params = match server_ep.recv().msg {
+                            MdMsg::Disc { params } => params,
+                            other => panic!("server expected a bootstrap Disc, got {other:?}"),
+                        };
+                        let blob = crate::mdgan::bootstrap_blob(tick, &params);
+                        let blob_len = blob.len() as u64;
+                        server_ep
+                            .send_ctx(slot + 1, MdMsg::Bootstrap { blob }, blob_len, rctx)
+                            .expect("destination endpoint dropped");
+                        telemetry.event(Event::BootstrapDone {
+                            iter: i,
+                            worker: slot + 1,
+                            bytes: blob_len,
+                        });
+                    }
+                }
+            }
 
-                    if (i + 1) % swap_interval == 0 {
-                        let swap_span = telemetry.span_at(Phase::Swap, Track::Server, rctx, tick);
-                        let sctx = swap_span.ctx();
-                        if let Some(perm) = swap_permutation(cfg.swap, alive.len(), &mut swap_rng) {
-                            for (j, &src) in alive.iter().enumerate() {
-                                let dst = alive[perm[j]];
-                                server_ep
-                                    .send_ctx(
-                                        src + 1,
-                                        MdMsg::SwapTo {
-                                            to: dst + 1,
-                                            iter: i,
-                                        },
-                                        0,
-                                        sctx,
-                                    )
-                                    .expect("destination endpoint dropped");
-                            }
-                            swaps += 1;
-                            telemetry.event(Event::SwapDone {
-                                iter: i,
-                                moved: alive.len(),
-                            });
-                        }
-                        drop(swap_span);
-                    }
+            let addressed = book.addressed(&cfg, i, None);
+            let mut heard = 0;
+            if !addressed.is_empty() {
+                let (k_now, split) = book.split(&cfg, k, &addressed);
+                let gen_span = telemetry.span_at(Phase::GenForward, Track::Server, rctx, tick);
+                let batches = server.generate_batches(k_now);
+                drop(gen_span);
+                for (&wi, &(g_id, d_id)) in addressed.iter().zip(&split) {
+                    server_ep.send_data_ctx(
+                        wi + 1,
+                        MdMsg::Batches {
+                            iter: i,
+                            g_id,
+                            xg: batches[g_id].0.clone(),
+                            xg_labels: batches[g_id].1.clone(),
+                            xd: batches[d_id].0.clone(),
+                            xd_labels: batches[d_id].1.clone(),
+                        },
+                        down_bytes,
+                        tick,
+                        retries,
+                        rctx,
+                    );
                 }
-                // Graceful leaves depart at the end of the iteration: the
-                // leaver already drained its batches, sent its final
-                // feedback and took part in any swap above.
-                if churned {
-                    let evs: Vec<md_simnet::ChurnEvent> = cfg.churn.events_at(i).copied().collect();
-                    for ev in evs.iter().filter(|e| e.kind == ChurnKind::Leave) {
-                        if membership.apply(ev).is_ok() {
-                            let slot = ev.worker - 1;
-                            alive_mask[slot] = false;
+                let ids: Vec<usize> = addressed.iter().map(|&w| w + 1).collect();
+                let gather = server_ep.recv_until_quorum(
+                    &ids,
+                    cfg.robust.quorum(ids.len()),
+                    gather_timeout,
+                    |e| matches!(&e.msg, MdMsg::Feedback { iter, .. } if *iter == i),
+                );
+                // Envelopes arrive sorted by sender, so the book observes
+                // the exact triples the sequential trainer builds.
+                let feedbacks: Vec<(usize, usize, md_tensor::Tensor)> = gather
+                    .envelopes
+                    .into_iter()
+                    .map(|e| match e.msg {
+                        MdMsg::Feedback { g_id, grad, .. } => (e.from - 1, g_id, grad),
+                        other => panic!("server expected Feedback, got {other:?}"),
+                    })
+                    .collect();
+                heard = feedbacks.len();
+                if let Some(kept) = book.close(&cfg, i, &addressed, feedbacks, &stats, &telemetry) {
+                    let upd_span = telemetry.span_at(Phase::GUpdate, Track::Server, rctx, tick);
+                    server.apply_feedbacks_robust(&kept, kept.len(), cfg.aggregation);
+                    drop(upd_span);
+                }
+
+                if (i + 1) % swap_interval == 0 {
+                    let swap_span = telemetry.span_at(Phase::Swap, Track::Server, rctx, tick);
+                    let sctx = swap_span.ctx();
+                    let candidates = book.swap_candidates(&cfg);
+                    if let Some(perm) = swap_permutation(cfg.swap, candidates.len(), &mut swap_rng)
+                    {
+                        for (j, &src) in candidates.iter().enumerate() {
+                            let to = candidates[perm[j]] + 1;
                             server_ep
-                                .send(ev.worker, MdMsg::Stop, 0)
+                                .send_ctx(src + 1, MdMsg::SwapTo { to, iter: i }, 0, sctx)
                                 .expect("destination endpoint dropped");
-                            stats.retire(ev.worker);
-                            telemetry.event(Event::WorkerLeft {
-                                iter: i,
-                                worker: ev.worker,
-                            });
                         }
+                        swaps += 1;
+                        telemetry.event(Event::SwapDone {
+                            iter: i,
+                            moved: candidates.len(),
+                        });
                     }
+                    drop(swap_span);
                 }
-                alive_now = alive.len();
+            }
+            // Graceful leaves depart at the end of the iteration.
+            for slot in book.finish(&cfg, i, &stats, &telemetry) {
+                stopped[slot] = true;
+                server_ep
+                    .send(slot + 1, MdMsg::Stop, 0)
+                    .expect("destination endpoint dropped");
             }
             telemetry.event(Event::IterDone {
                 iter: i,
-                alive: alive_now,
+                alive: heard,
             });
             drop(root);
 
@@ -845,10 +564,8 @@ fn run_threaded_inner(
                     let ck = gather_checkpoint(
                         &server_ep,
                         &server,
-                        &alive_mask,
-                        &swap_rng,
-                        &attack_rng,
-                        &host_rng,
+                        &book.running,
+                        [&swap_rng, &attack_rng, &host_rng],
                         &stats,
                         swaps,
                         (i + 1) as u64,
@@ -867,11 +584,10 @@ fn run_threaded_inner(
             }
         }
 
-        // Shut everyone down. Robust mode keeps crashed workers draining
-        // their queue, so they too need the final Stop. Workers dead at
-        // resume time were never spawned (their endpoint is gone).
-        for (w, &alive) in alive_mask.iter().enumerate() {
-            if spawned[w] && (robust || alive) {
+        // Shut everyone down: running workers and silently crashed ones,
+        // which keep draining their queue until told to stop.
+        for (w, &done) in stopped.iter().enumerate() {
+            if !done {
                 server_ep
                     .send(w + 1, MdMsg::Stop, 0)
                     .expect("destination endpoint dropped");
@@ -887,60 +603,48 @@ fn run_threaded_inner(
         timeline,
         gen_params: server.gen_params(),
         traffic: stats.report(),
-        alive: (0..total)
-            .filter(|&w| alive_mask[w] && membership.is_alive(w))
-            .map(|w| w + 1)
-            .collect(),
+        alive: book.alive().into_iter().map(|w| w + 1).collect(),
     })
 }
 
 /// Collects the full training state into a checkpoint with exactly the
 /// sequential runtime's section layout ([`MdGan::checkpoint`]).
 ///
-/// The server requests each alive worker's state over the normal message
-/// channels (`StateRequest`/`WorkerState`) — replies arrive only after the
-/// worker has drained everything queued before the request (feedbacks,
-/// in-progress swaps), so the gathered state is the post-iteration
-/// barrier state. The gather's own zero-byte control messages are then
-/// stripped from the traffic counters: checkpoint persistence must not
-/// perturb traffic accounting, or a resumed run would stop being
-/// bit-identical to an uninterrupted one.
+/// The server requests each running worker's state over the normal
+/// message channels (`StateRequest`/`WorkerState`) — replies arrive only
+/// after the worker has drained everything queued before the request
+/// (feedbacks, in-progress swaps), so the gathered state is the
+/// post-iteration barrier state. The gather's own zero-byte control
+/// messages are then stripped from the traffic counters: checkpoint
+/// persistence must not perturb traffic accounting, or a resumed run would
+/// stop being bit-identical to an uninterrupted one.
 ///
 /// [`MdGan::checkpoint`]: crate::mdgan::trainer::MdGan::checkpoint
-#[allow(clippy::too_many_arguments)]
 fn gather_checkpoint(
     server_ep: &Endpoint<MdMsg>,
     server: &MdServer,
-    alive_mask: &[bool],
-    swap_rng: &Rng64,
-    attack_rng: &Rng64,
-    host_rng: &Rng64,
+    running: &[bool],
+    [swap_rng, attack_rng, host_rng]: [&Rng64; 3],
     stats: &TrafficStats,
     swaps: usize,
     iteration: u64,
 ) -> Checkpoint {
-    let n = alive_mask.len();
-    let expect: Vec<usize> = (0..n).filter(|&w| alive_mask[w]).map(|w| w + 1).collect();
+    let expect: Vec<usize> = (0..running.len())
+        .filter(|&w| running[w])
+        .map(|w| w + 1)
+        .collect();
     for &id in &expect {
         server_ep
             .send(id, MdMsg::StateRequest, 0)
             .expect("destination endpoint dropped");
     }
-    let mut states = Vec::with_capacity(expect.len());
+    let mut workers: Vec<Option<WorkerSnapshot>> = vec![None; running.len()];
     for _ in 0..expect.len() {
         match server_ep.recv().msg {
-            MdMsg::WorkerState {
-                id,
-                disc,
-                adam_t,
-                opt_m,
-                opt_v,
-                sampler,
-            } => states.push((id, disc, adam_t, opt_m, opt_v, sampler)),
+            MdMsg::WorkerState { id, state } => workers[id - 1] = Some(state),
             other => panic!("server expected WorkerState, got {other:?}"),
         }
     }
-    states.sort_by_key(|s| s.0);
 
     // Every node is quiescent now (workers answered and are blocked on
     // their queue), so this snapshot races with nothing. Strip the
@@ -955,156 +659,18 @@ fn gather_checkpoint(
         .load_state_words(&traffic)
         .expect("snapshot from the same instance always loads");
 
-    let mut ck = Checkpoint::new(iteration);
-    ck.push("generator", server.gen_params());
-    let g_opt = server.opt_state();
-    ck.push("opt_g_m", g_opt.m);
-    ck.push("opt_g_v", g_opt.v);
-    let mut adam_t = vec![0u64; 1 + n];
-    adam_t[0] = g_opt.t;
-    ck.push_u64("rng_server", server.rng_state_words().to_vec());
-    ck.push_u64("rng_swap", swap_rng.state_words().to_vec());
-    ck.push_u64("rng_attack", attack_rng.state_words().to_vec());
-    ck.push_u64("rng_host", host_rng.state_words().to_vec());
-    for (id, disc, t, m, v, sampler) in states {
-        ck.push(format!("disc_{id}"), disc);
-        adam_t[id] = t;
-        ck.push(format!("opt_d_{id}_m"), m);
-        ck.push(format!("opt_d_{id}_v"), v);
-        ck.push_u64(format!("rng_sampler_{id}"), sampler);
-    }
-    ck.push_u64("adam_t", adam_t);
-    ck.push_u64(
-        "alive",
-        alive_mask.iter().map(|&a| u64::from(a)).collect::<Vec<_>>(),
-    );
-    ck.push_u64("counters", vec![swaps as u64]);
-    ck.push_u64("traffic", traffic);
-    ck
-}
-
-/// Restores a checkpoint into the not-yet-spawned parts of a threaded run.
-///
-/// Mirrors [`MdGan::restore`](crate::mdgan::trainer::MdGan::restore):
-/// full (v2) checkpoints restore everything for a bit-identical replay;
-/// legacy parameter-only checkpoints restore parameters and treat workers
-/// without a `disc_n` section as crashed. Checkpoints from a sequential
-/// run using discriminator-count subsetting (`disc_hosts`) are rejected —
-/// the threaded runtime does not implement that mode.
-#[allow(clippy::too_many_arguments)]
-fn restore_parts(
-    ck: &Checkpoint,
-    server: &mut MdServer,
-    workers: &mut [Option<MdWorker>],
-    swap_rng: &mut Rng64,
-    attack_rng: &mut Rng64,
-    host_rng: &mut Rng64,
-    stats: &TrafficStats,
-    swaps: &mut usize,
-) -> Result<(), TrainError> {
-    let ckerr = |e: std::io::Error| TrainError::Checkpoint(e.to_string());
-    let n = workers.len();
-    if ck.get_u64("disc_hosts").is_some() {
-        return Err(TrainError::Checkpoint(
-            "checkpoint uses discriminator-count subsetting, \
-             which the threaded runtime does not support"
-                .into(),
-        ));
-    }
-    let gen = ck
-        .require_len("generator", server.gen_params_len())
-        .map_err(ckerr)?;
-    server.set_gen_params(gen);
-
-    if ck.get_u64("alive").is_none() {
-        // Legacy parameter-only checkpoint: discriminators restore (or
-        // the worker is treated as crashed), optimizer moments and RNG
-        // streams restart fresh. The index names the 1-based section and
-        // selects the worker slot.
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..n {
-            match ck.get(&format!("disc_{}", i + 1)) {
-                Some(params) => {
-                    if let Some(w) = workers[i].as_mut() {
-                        if params.len() != w.disc_params_len() {
-                            return Err(TrainError::Checkpoint(format!(
-                                "disc_{} has {} params, worker expects {}",
-                                i + 1,
-                                params.len(),
-                                w.disc_params_len()
-                            )));
-                        }
-                        w.set_disc_params(params);
-                    }
-                }
-                None => workers[i] = None,
-            }
-        }
-        return Ok(());
-    }
-
-    let alive = ck.require_u64_len("alive", n).map_err(ckerr)?.to_vec();
-    let adam_t = ck.require_u64_len("adam_t", 1 + n).map_err(ckerr)?.to_vec();
-    let g_state = AdamState {
-        t: adam_t[0],
-        m: ck.require("opt_g_m").map_err(ckerr)?.to_vec(),
-        v: ck.require("opt_g_v").map_err(ckerr)?.to_vec(),
-    };
-    server
-        .import_opt_state(&g_state)
-        .map_err(TrainError::Checkpoint)?;
-
-    let words = |name: &str| -> Result<[u64; Rng64::STATE_WORDS], TrainError> {
-        let w = ck
-            .require_u64_len(name, Rng64::STATE_WORDS)
-            .map_err(ckerr)?;
-        Ok(std::array::from_fn(|i| w[i]))
-    };
-    server.set_rng_state_words(words("rng_server")?);
-    *swap_rng = Rng64::from_state_words(words("rng_swap")?);
-    *attack_rng = Rng64::from_state_words(words("rng_attack")?);
-    *host_rng = Rng64::from_state_words(words("rng_host")?);
-
-    for i in 0..n {
-        let id = i + 1;
-        if alive[i] == 0 {
-            workers[i] = None;
-            continue;
-        }
-        let Some(w) = workers[i].as_mut() else {
-            return Err(TrainError::Checkpoint(format!(
-                "checkpoint has worker {id} alive but it already crashed here"
-            )));
-        };
-        let disc = ck
-            .require_len(&format!("disc_{id}"), w.disc_params_len())
-            .map_err(ckerr)?;
-        w.set_disc_params(disc);
-        let d_state = AdamState {
-            t: adam_t[id],
-            m: ck
-                .require(&format!("opt_d_{id}_m"))
-                .map_err(ckerr)?
-                .to_vec(),
-            v: ck
-                .require(&format!("opt_d_{id}_v"))
-                .map_err(ckerr)?
-                .to_vec(),
-        };
-        w.import_opt_state(&d_state)
-            .map_err(TrainError::Checkpoint)?;
-        let sw = ck
-            .require_u64_len(&format!("rng_sampler_{id}"), Rng64::STATE_WORDS)
-            .map_err(ckerr)?;
-        w.set_sampler_state_words(std::array::from_fn(|j| sw[j]));
-    }
-
-    let counters = ck.require_u64_len("counters", 1).map_err(ckerr)?;
-    *swaps = counters[0] as usize;
-    stats
-        .load_state_words(ck.require_u64("traffic").map_err(ckerr)?)
-        .map_err(TrainError::Checkpoint)?;
-    Ok(())
+    state::encode(
+        iteration,
+        server,
+        &[
+            ("rng_swap", swap_rng),
+            ("rng_attack", attack_rng),
+            ("rng_host", host_rng),
+        ],
+        workers,
+        vec![swaps as u64],
+        traffic,
+    )
 }
 
 #[cfg(test)]
@@ -1112,7 +678,7 @@ mod tests {
     use super::*;
     use crate::config::{GanHyper, KPolicy, SwapPolicy};
     use md_data::synthetic::mnist_like;
-    use md_simnet::{CrashSchedule, FaultPlan};
+    use md_simnet::{ChurnKind, CrashSchedule, FaultPlan};
     use md_tensor::rng::Rng64;
 
     fn setup(workers: usize) -> (ArchSpec, Vec<Dataset>, MdGanConfig) {
@@ -1216,7 +782,7 @@ mod tests {
 
     #[test]
     fn robust_mode_without_faults_matches_oracle_mode_params() {
-        // On a perfect network with no crashes, the robust path performs
+        // On a perfect network with no crashes, a robust config performs
         // the same logical computation: every worker answers every
         // iteration, so the generator trajectory is identical.
         let (spec, shards, cfg) = setup(3);
@@ -1463,5 +1029,23 @@ mod tests {
         assert!(res.gen_params.iter().all(|v| v.is_finite()));
         assert!(res.traffic.dropped_msgs > 0);
         assert_eq!(res.traffic.bytes_delivered(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "robust mode supports crash-only churn plans")]
+    fn robust_mode_refuses_leaves() {
+        use md_simnet::{ChurnEvent, ChurnPlan};
+        let (spec, shards, mut cfg) = setup(3);
+        cfg.churn = ChurnPlan::from_events(
+            3,
+            vec![ChurnEvent {
+                iter: 2,
+                worker: 2,
+                kind: ChurnKind::Leave,
+            }],
+        )
+        .unwrap();
+        cfg.robust.enabled = true;
+        run_threaded(&spec, shards, cfg, None, 4, 1000);
     }
 }

@@ -2,28 +2,35 @@
 //!
 //! Executes Algorithm 1 with the exact interaction order of the paper's
 //! emulation: every global iteration the server generates `k` batches,
-//! SPLITs them over the alive workers, collects all feedbacks, updates `w`,
-//! and every `m·E/b` iterations coordinates the discriminator swap.
-//! Traffic is charged per message exactly as Table III specifies.
+//! SPLITs them over the workers it addresses, collects their feedbacks,
+//! updates `w`, and every `m·E/b` iterations coordinates the discriminator
+//! swap. Traffic is charged per message exactly as Table III specifies.
+//!
+//! There is one iteration body. Every data message crosses the seeded
+//! fault layer — a perfect network is
+//! [`FaultPlan::none`](md_simnet::FaultPlan::none) — and the server's round
+//! bookkeeping (view, failure detector, forensics, quorum, swap candidates)
+//! is the [`ServerBook`] the threaded runtime uses too. `cfg.is_robust()`
+//! only decides whether an injected crash is *announced* (the server's view
+//! drops the slot at once: a zero-latency detector) or *silent* (the
+//! failure detector finds it through missed feedbacks).
 
 use crate::arch::ArchSpec;
 use crate::byzantine::{resolve_attacks, Aggregation, Attack, AttackState};
 use crate::compression::Codec;
 use crate::config::{MdGanConfig, SwapPolicy};
-use crate::defense::FeedbackForensics;
 use crate::error::TrainError;
 use crate::eval::{Evaluator, ScoreTimeline};
+use crate::mdgan::round::{Change, ServerBook, Wire};
 use crate::mdgan::server::MdServer;
+use crate::mdgan::state::{self, WorkerSnapshot};
 use crate::mdgan::worker::MdWorker;
 use md_data::Dataset;
 use md_nn::gan::Generator;
 use md_nn::layer::Layer;
-use md_nn::param::{batch_bytes, param_bytes};
-use md_simnet::{
-    ChurnEvent, ChurnKind, ChurnPlan, FailureDetector, FaultState, Liveness, MemberStatus,
-    Membership, TrafficReport, TrafficStats,
-};
-use md_telemetry::{Event, Phase, Recorder, SpanKind, TraceCtx, Track};
+use md_nn::param::param_bytes;
+use md_simnet::{FaultState, MemberStatus, Membership, TrafficReport, TrafficStats};
+use md_telemetry::{Event, Phase, Recorder, TraceCtx, Track};
 use md_tensor::rng::Rng64;
 use md_tensor::Tensor;
 use std::sync::Arc;
@@ -76,10 +83,33 @@ pub(crate) fn swap_permutation(
     }
 }
 
+/// One [`AttackState`] per worker slot; pre-trained-mimicry attackers
+/// freeze the worker's current (initial) discriminator parameters.
+pub(crate) fn build_attack_states(
+    attacks: &[Attack],
+    workers: &[Option<MdWorker>],
+    seed: u64,
+) -> Vec<AttackState> {
+    attacks
+        .iter()
+        .enumerate()
+        .map(|(wi, &a)| {
+            let snap = matches!(a, Attack::PretrainedMimic).then(|| {
+                workers[wi]
+                    .as_ref()
+                    .expect("attacker slot alive at init")
+                    .disc_params()
+            });
+            AttackState::new(a, seed, wi, snap)
+        })
+        .collect()
+}
+
 /// The MD-GAN system (sequential runtime).
 pub struct MdGan {
     server: MdServer,
-    /// `None` marks a crashed worker (its shard is gone with it).
+    /// `None` marks a crashed or departed worker (its shard is gone with
+    /// it).
     workers: Vec<Option<MdWorker>>,
     cfg: MdGanConfig,
     k: usize,
@@ -88,86 +118,59 @@ pub struct MdGan {
     swap_interval: usize,
     iter: usize,
     swaps: usize,
-    object_size: usize,
     feedback_codec: Codec,
     batch_codec: Codec,
-    /// Per-worker feedback manipulation (§VII.3); all-honest by default.
-    attacks: Vec<Attack>,
     attack_rng: Rng64,
-    /// Stateful per-worker attack execution (per-worker RNG streams, echo
-    /// caches, stale discriminator snapshots) — derived from `attacks`.
+    /// Stateful per-worker feedback manipulation (§VII.3: per-worker RNG
+    /// streams, echo caches, stale discriminator snapshots); all-honest by
+    /// default.
     attack_states: Vec<AttackState>,
     aggregation: Aggregation,
-    /// Server-side free-rider forensics (scores every gathered feedback
-    /// when `cfg.defense.enabled`).
-    forensics: FeedbackForensics,
     /// §VII.4: when `Some(m)`, only `m ≤ N` workers host a discriminator
     /// at any time; swaps relocate the m discriminators over all alive
     /// workers so the whole distributed dataset is still leveraged.
     disc_hosts: Option<Vec<usize>>,
     host_rng: Rng64,
     telemetry: Arc<Recorder>,
-    /// Instantiated fault plan; present iff the config is robust.
-    fault_state: Option<FaultState>,
-    /// Timeout-based liveness inference (robust mode only; the oracle
-    /// `workers[i].is_none()` stays invisible to the robust server loop).
-    detector: FailureDetector,
-    /// Epoch-numbered cluster view; tracks churn-plan joins/leaves/crashes
-    /// (and robust-mode evictions). With churn disabled it never changes.
-    membership: Membership,
+    /// The simulated network's fault layer (a perfect network unless the
+    /// config sets a fault plan).
+    fault_state: FaultState,
+    /// The server's round bookkeeping: membership view, failure detector,
+    /// free-rider forensics.
+    book: ServerBook,
 }
 
 impl MdGan {
     /// Builds the full system over pre-sharded data.
     pub fn new(spec: &ArchSpec, shards: Vec<Dataset>, cfg: MdGanConfig) -> Self {
-        let object_size = shards[0].object_size();
         let shard_size = shards[0].len();
         let seed = cfg.seed;
-        if !cfg.churn.is_none() {
-            ChurnPlan::from_events(cfg.workers, cfg.churn.events().to_vec())
-                .expect("invalid churn plan");
-        }
+        let book = ServerBook::new(&cfg);
         let total = cfg.total_workers();
         let (server, workers, swap_rng) = build_parts(spec, shards, &cfg);
-        let k = cfg.k.resolve(cfg.workers);
-        let swap_interval = cfg.swap_interval(shard_size);
-        let stats = TrafficStats::new(1 + total);
-        let fault_state = cfg
-            .is_robust()
-            .then(|| FaultState::new(cfg.fault.clone(), 1 + total));
-        let detector = FailureDetector::new(cfg.workers, cfg.robust.suspect_after)
-            .expect("suspect_after must be at least 1")
-            .with_eviction(cfg.robust.evict_after);
-        let membership = Membership::new(cfg.workers, total);
         let workers: Vec<Option<MdWorker>> = workers.into_iter().map(Some).collect();
-        let attacks = resolve_attacks(&cfg.attacks, total);
-        let attack_states = Self::build_attack_states(&attacks, &workers, seed);
-        let forensics = FeedbackForensics::new(cfg.defense, total);
-        let aggregation = cfg.aggregation;
+        let attack_states =
+            build_attack_states(&resolve_attacks(&cfg.attacks, total), &workers, seed);
         MdGan {
             server,
             workers,
-            cfg,
-            k,
-            stats,
+            k: cfg.k.resolve(cfg.workers),
+            stats: TrafficStats::new(1 + total),
             swap_rng,
-            swap_interval,
+            swap_interval: cfg.swap_interval(shard_size),
             iter: 0,
             swaps: 0,
-            object_size,
             feedback_codec: Codec::None,
             batch_codec: Codec::None,
-            attacks,
             attack_rng: Rng64::seed_from_u64(seed ^ 0xA77AC4),
             attack_states,
-            aggregation,
-            forensics,
+            aggregation: cfg.aggregation,
             disc_hosts: None,
             host_rng: Rng64::seed_from_u64(seed ^ 0x4057),
             telemetry: Arc::new(Recorder::disabled()),
-            fault_state,
-            detector,
-            membership,
+            fault_state: FaultState::new(cfg.fault.clone(), 1 + total),
+            book,
+            cfg,
         }
     }
 
@@ -204,31 +207,9 @@ impl MdGan {
     /// # Panics
     /// Panics when more attack entries than workers are supplied.
     pub fn with_attacks(mut self, attacks: Vec<Attack>) -> Self {
-        self.attacks = resolve_attacks(&attacks, self.workers.len());
-        self.attack_states = Self::build_attack_states(&self.attacks, &self.workers, self.cfg.seed);
+        let attacks = resolve_attacks(&attacks, self.workers.len());
+        self.attack_states = build_attack_states(&attacks, &self.workers, self.cfg.seed);
         self
-    }
-
-    /// One [`AttackState`] per worker slot; pre-trained-mimicry attackers
-    /// freeze the worker's current (initial) discriminator parameters.
-    fn build_attack_states(
-        attacks: &[Attack],
-        workers: &[Option<MdWorker>],
-        seed: u64,
-    ) -> Vec<AttackState> {
-        attacks
-            .iter()
-            .enumerate()
-            .map(|(wi, &a)| {
-                let snap = matches!(a, Attack::PretrainedMimic).then(|| {
-                    workers[wi]
-                        .as_ref()
-                        .expect("attacker slot alive at init")
-                        .disc_params()
-                });
-                AttackState::new(a, seed, wi, snap)
-            })
-            .collect()
     }
 
     /// Chooses the server-side feedback aggregator (§VII.3); the default
@@ -259,18 +240,6 @@ impl MdGan {
         self
     }
 
-    /// The workers currently hosting a discriminator (0-based indices).
-    fn hosts(&self, alive: &[usize]) -> Vec<usize> {
-        match &self.disc_hosts {
-            None => alive.to_vec(),
-            Some(hosts) => hosts
-                .iter()
-                .copied()
-                .filter(|h| alive.contains(h))
-                .collect(),
-        }
-    }
-
     /// The resolved `k` (number of generated batches per iteration).
     pub fn k(&self) -> usize {
         self.k
@@ -291,21 +260,16 @@ impl MdGan {
         self.swaps
     }
 
-    /// Worker ids (1-based) currently alive: the worker exists *and* the
-    /// membership view admits it (planned joiners are built up front but
-    /// stay `Pending` until their join fires).
+    /// Worker ids (1-based) currently alive: the worker still runs *and*
+    /// the membership view admits it (planned joiners are built up front
+    /// but stay `Pending` until their join fires).
     pub fn alive_workers(&self) -> Vec<usize> {
-        self.workers
-            .iter()
-            .enumerate()
-            .filter(|(i, w)| w.is_some() && self.membership.is_alive(*i))
-            .map(|(i, _)| i + 1)
-            .collect()
+        self.book.alive().into_iter().map(|w| w + 1).collect()
     }
 
     /// The current membership view (epoch-numbered).
     pub fn membership(&self) -> &Membership {
-        &self.membership
+        &self.book.membership
     }
 
     /// The single server-side generator.
@@ -323,6 +287,16 @@ impl MdGan {
         self.stats.report()
     }
 
+    /// The network every data message of this run crosses.
+    fn wire(&self) -> Wire<'_> {
+        Wire {
+            faults: &self.fault_state,
+            stats: &self.stats,
+            telemetry: &self.telemetry,
+            retries: self.cfg.robust.retries,
+        }
+    }
+
     /// Captures a full training checkpoint (format v2): generator and
     /// alive discriminators *plus* Adam moments, every RNG stream
     /// position, the alive mask, counters and traffic totals — everything
@@ -332,44 +306,25 @@ impl MdGan {
     /// captured; resuming a robust run restarts the detector cold (see
     /// DESIGN.md §10).
     pub fn checkpoint(&self) -> crate::checkpoint::Checkpoint {
-        let n = self.workers.len();
-        let mut ck = crate::checkpoint::Checkpoint::new(self.iter as u64);
-        ck.push("generator", self.server.gen_params());
-        let g_opt = self.server.opt_state();
-        ck.push("opt_g_m", g_opt.m);
-        ck.push("opt_g_v", g_opt.v);
-        let mut adam_t = vec![0u64; 1 + n];
-        adam_t[0] = g_opt.t;
-        ck.push_u64("rng_server", self.server.rng_state_words().to_vec());
-        ck.push_u64("rng_swap", self.swap_rng.state_words().to_vec());
-        ck.push_u64("rng_attack", self.attack_rng.state_words().to_vec());
-        ck.push_u64("rng_host", self.host_rng.state_words().to_vec());
-        let alive: Vec<u64> = self
-            .workers
-            .iter()
-            .map(|w| u64::from(w.is_some()))
-            .collect();
-        for (i, w) in self.workers.iter().enumerate() {
-            let Some(w) = w else { continue };
-            let id = i + 1;
-            ck.push(format!("disc_{id}"), w.disc_params());
-            let d_opt = w.opt_state();
-            adam_t[id] = d_opt.t;
-            ck.push(format!("opt_d_{id}_m"), d_opt.m);
-            ck.push(format!("opt_d_{id}_v"), d_opt.v);
-            ck.push_u64(
-                format!("rng_sampler_{id}"),
-                w.sampler_state_words().to_vec(),
-            );
-        }
-        ck.push_u64("adam_t", adam_t);
-        ck.push_u64("alive", alive);
-        ck.push_u64("counters", vec![self.swaps as u64]);
-        ck.push_u64("traffic", self.stats.state_words());
+        let mut ck = state::encode(
+            self.iter as u64,
+            &self.server,
+            &[
+                ("rng_swap", &self.swap_rng),
+                ("rng_attack", &self.attack_rng),
+                ("rng_host", &self.host_rng),
+            ],
+            self.workers
+                .iter()
+                .map(|w| w.as_ref().map(WorkerSnapshot::of))
+                .collect(),
+            vec![self.swaps as u64],
+            self.stats.state_words(),
+        );
         // Only churn-enabled runs carry a membership section, so default-
         // path checkpoints stay byte-identical to the pre-elastic format.
         if !self.cfg.churn.is_none() {
-            ck.push_u64("membership", self.membership.state_words());
+            ck.push_u64("membership", self.book.membership.state_words());
         }
         if let Some(hosts) = &self.disc_hosts {
             ck.push_u64("disc_hosts", hosts.iter().map(|&h| h as u64).collect());
@@ -388,811 +343,283 @@ impl MdGan {
     /// worker without a `disc_n` section is treated as crashed, and
     /// optimizer moments/RNG streams restart fresh.
     pub fn restore(&mut self, ck: &crate::checkpoint::Checkpoint) -> Result<(), TrainError> {
-        let ckerr = |e: std::io::Error| TrainError::Checkpoint(e.to_string());
-        let n = self.workers.len();
-        let gen = ck
-            .require_len("generator", self.server.gen_params_len())
-            .map_err(ckerr)?;
-        self.server.set_gen_params(gen);
-
-        if ck.get_u64("alive").is_none() {
-            // Legacy parameter-only checkpoint.
-            for i in 0..n {
-                match ck.get(&format!("disc_{}", i + 1)) {
-                    Some(params) => {
-                        if let Some(w) = self.workers[i].as_mut() {
-                            if params.len() != w.disc_params_len() {
-                                return Err(TrainError::Checkpoint(format!(
-                                    "disc_{} has {} params, worker expects {}",
-                                    i + 1,
-                                    params.len(),
-                                    w.disc_params_len()
-                                )));
-                            }
-                            w.set_disc_params(params);
-                        }
+        let restored = state::decode(
+            ck,
+            &mut self.server,
+            &mut [
+                ("rng_swap", &mut self.swap_rng),
+                ("rng_attack", &mut self.attack_rng),
+                ("rng_host", &mut self.host_rng),
+            ],
+            &mut self.workers,
+            &self.stats,
+            1,
+        )?;
+        for (running, w) in self.book.running.iter_mut().zip(&self.workers) {
+            *running = w.is_some();
+        }
+        if let Some(counters) = restored {
+            self.swaps = counters[0] as usize;
+            if !self.cfg.churn.is_none() {
+                let ckerr = |e: std::io::Error| TrainError::Checkpoint(e.to_string());
+                let membership = &mut self.book.membership;
+                membership
+                    .load_state_words(ck.require_u64("membership").map_err(ckerr)?)
+                    .map_err(TrainError::Checkpoint)?;
+                // Retirement flags are not part of the traffic state words
+                // (format stability); re-derive them from the restored view.
+                for slot in 0..membership.len() {
+                    if matches!(
+                        membership.status(slot),
+                        MemberStatus::Left | MemberStatus::Evicted
+                    ) {
+                        self.stats.retire(slot + 1);
                     }
-                    None => self.workers[i] = None,
                 }
             }
-            self.iter = ck.iteration as usize;
-            return Ok(());
-        }
-
-        let alive = ck.require_u64_len("alive", n).map_err(ckerr)?.to_vec();
-        let adam_t = ck.require_u64_len("adam_t", 1 + n).map_err(ckerr)?.to_vec();
-        let g_state = md_nn::optim::AdamState {
-            t: adam_t[0],
-            m: ck.require("opt_g_m").map_err(ckerr)?.to_vec(),
-            v: ck.require("opt_g_v").map_err(ckerr)?.to_vec(),
-        };
-        self.server
-            .import_opt_state(&g_state)
-            .map_err(TrainError::Checkpoint)?;
-
-        let words = |name: &str| -> Result<[u64; Rng64::STATE_WORDS], TrainError> {
-            let w = ck
-                .require_u64_len(name, Rng64::STATE_WORDS)
-                .map_err(ckerr)?;
-            Ok(std::array::from_fn(|i| w[i]))
-        };
-        self.server.set_rng_state_words(words("rng_server")?);
-        self.swap_rng = Rng64::from_state_words(words("rng_swap")?);
-        self.attack_rng = Rng64::from_state_words(words("rng_attack")?);
-        self.host_rng = Rng64::from_state_words(words("rng_host")?);
-
-        // Index drives three things at once: the alive bitmap, the worker
-        // slot, and the 1-based section names.
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..n {
-            let id = i + 1;
-            if alive[i] == 0 {
-                self.workers[i] = None;
-                continue;
-            }
-            let Some(w) = self.workers[i].as_mut() else {
-                return Err(TrainError::Checkpoint(format!(
-                    "checkpoint has worker {id} alive but it already crashed here"
-                )));
-            };
-            let disc = ck
-                .require_len(&format!("disc_{id}"), w.disc_params_len())
-                .map_err(ckerr)?;
-            w.set_disc_params(disc);
-            let d_state = md_nn::optim::AdamState {
-                t: adam_t[id],
-                m: ck
-                    .require(&format!("opt_d_{id}_m"))
-                    .map_err(ckerr)?
-                    .to_vec(),
-                v: ck
-                    .require(&format!("opt_d_{id}_v"))
-                    .map_err(ckerr)?
-                    .to_vec(),
-            };
-            w.import_opt_state(&d_state)
-                .map_err(TrainError::Checkpoint)?;
-            let sw = ck
-                .require_u64_len(&format!("rng_sampler_{id}"), Rng64::STATE_WORDS)
-                .map_err(ckerr)?;
-            w.set_sampler_state_words(std::array::from_fn(|j| sw[j]));
-        }
-
-        let counters = ck.require_u64_len("counters", 1).map_err(ckerr)?;
-        self.swaps = counters[0] as usize;
-        self.stats
-            .load_state_words(ck.require_u64("traffic").map_err(ckerr)?)
-            .map_err(TrainError::Checkpoint)?;
-        if !self.cfg.churn.is_none() {
-            self.membership
-                .load_state_words(ck.require_u64("membership").map_err(ckerr)?)
-                .map_err(TrainError::Checkpoint)?;
-            // Retirement flags are not part of the traffic state words
-            // (format stability); re-derive them from the restored view.
-            for slot in 0..self.membership.len() {
-                if matches!(
-                    self.membership.status(slot),
-                    MemberStatus::Left | MemberStatus::Evicted
-                ) {
-                    self.stats.retire(slot + 1);
-                }
-            }
-        }
-        self.disc_hosts = match ck.get_u64("disc_hosts") {
-            None => None,
-            Some(hosts) => {
-                let hosts: Vec<usize> = hosts.iter().map(|&h| h as usize).collect();
-                if hosts.iter().any(|&h| h >= n) {
+            self.disc_hosts = match ck.get_u64("disc_hosts") {
+                None => None,
+                Some(hosts) if hosts.iter().any(|&h| h as usize >= self.workers.len()) => {
                     return Err(TrainError::Checkpoint(
                         "disc_hosts references an unknown worker".into(),
                     ));
                 }
-                Some(hosts)
-            }
-        };
+                Some(hosts) => Some(hosts.iter().map(|&h| h as usize).collect()),
+            };
+        }
         self.iter = ck.iteration as usize;
         Ok(())
     }
 
     /// One global iteration of Algorithm 1.
     ///
-    /// In robust mode (a fault plan is set or `cfg.robust.enabled`) this
-    /// dispatches to the lossy-network iteration, which performs the same
-    /// logical computation without consulting the crash oracle.
+    /// Crashes and joins due this iteration take effect first; the server
+    /// then SPLITs fresh batches over the workers it addresses, gathers
+    /// the feedbacks that arrive, runs them through forensics, the failure
+    /// detector and the quorum gate, updates `w`, and swaps on the swap
+    /// boundary; graceful leaves depart last. Fates are drawn per logical
+    /// message in worker-id order, exactly as the threaded runtime draws
+    /// them, so the two produce bit-identical generators.
+    ///
+    /// # Panics
+    /// A robust config refuses codecs and fewer-discriminators mode.
     pub fn step(&mut self) {
         if self.cfg.is_robust() {
-            self.step_robust();
-            return;
+            assert!(
+                matches!(self.batch_codec, Codec::None)
+                    && matches!(self.feedback_codec, Codec::None),
+                "robust mode does not compose with codecs"
+            );
+            assert!(
+                self.disc_hosts.is_none(),
+                "robust mode hosts one discriminator per worker"
+            );
         }
         let i = self.iter;
-        let b = self.cfg.hyper.batch;
-        let d = self.object_size;
         let tick = i as u64;
-        let root = self.telemetry.trace_root(tick);
+        // A local handle keeps `self` free for the `&mut self` helpers
+        // while span guards are open.
+        let telemetry = Arc::clone(&self.telemetry);
+        let root = telemetry.trace_root(tick);
         let rctx = root.ctx();
 
         // Fail-stop crashes take effect at the start of the iteration; the
         // worker's data shard disappears with it (§V-B.3).
-        for idx in 0..self.workers.len() {
-            if self.workers[idx].is_some() && self.cfg.crash.is_crashed(idx + 1, i) {
-                self.workers[idx] = None;
-                self.membership.crash(idx);
-                self.telemetry.event(Event::WorkerFault {
-                    iter: i,
-                    worker: idx + 1,
-                });
+        for change in self.book.begin(&self.cfg, i, &telemetry) {
+            match change {
+                Change::Crashed(w) => self.workers[w] = None,
+                Change::Joined { slot, source } => self.bootstrap_joiner(i, slot, source),
             }
         }
-        // Churn-plan crashes and joins fire at the start of the iteration
-        // (graceful leaves drain through it and depart at the end).
-        let churned = !self.cfg.churn.is_none();
-        if churned {
-            let evs: Vec<ChurnEvent> = self.cfg.churn.events_at(i).copied().collect();
-            for ev in &evs {
-                let slot = ev.worker - 1;
-                match ev.kind {
-                    ChurnKind::Crash => {
-                        if self.membership.apply(ev).is_ok() {
-                            self.workers[slot] = None;
-                            self.telemetry.event(Event::WorkerFault {
-                                iter: i,
-                                worker: ev.worker,
-                            });
-                        }
-                    }
-                    ChurnKind::Join => {
-                        self.membership.apply(ev).expect("validated churn plan");
-                        self.detector.track(slot);
-                        self.telemetry.event(Event::WorkerJoined {
-                            iter: i,
-                            worker: ev.worker,
-                        });
-                        Self::bootstrap_joiner(
-                            &mut self.workers,
-                            &self.membership,
-                            &self.stats,
-                            &self.telemetry,
-                            i,
-                            slot,
-                        );
-                    }
-                    ChurnKind::Leave => {}
-                }
-            }
-        }
-        let alive: Vec<usize> = (0..self.workers.len())
-            .filter(|&w| self.workers[w].is_some() && self.membership.is_alive(w))
-            .collect();
-        if alive.is_empty() {
-            self.iter += 1;
-            self.telemetry.event(Event::IterDone { iter: i, alive: 0 });
-            return;
-        }
-        // With churn the k-batch SPLIT is re-resolved over the *current*
-        // view each iteration; without churn the construction-time k is
-        // kept so default-path outputs stay byte-identical.
-        let k_now = if churned {
-            self.cfg.k.resolve(alive.len())
-        } else {
-            self.k
-        };
-
-        // Server: generate K = {X(1..k)} and SPLIT over workers.
-        let gen_span = self
-            .telemetry
-            .span_at(Phase::GenForward, Track::Server, rctx, tick);
-        let batches = self.server.generate_batches(k_now);
-        // With the identity codec the charged sizes are exactly the paper's
-        // 2bd down / bd up; lossy codecs shrink the wire and train on the
-        // reconstructed approximations.
-        let wire: Vec<(Tensor, u64)> = batches
-            .iter()
-            .map(|(imgs, _)| {
-                let c = self.batch_codec.compress(imgs);
-                (c.decompress(), c.wire_bytes())
-            })
-            .collect();
-        drop(gen_span);
-        debug_assert!(
-            !matches!(self.batch_codec, Codec::None) || wire[0].1 == batch_bytes(b, d),
-            "identity codec must charge bd per batch"
-        );
-        let participants = self.hosts(&alive);
-        if participants.is_empty() {
-            self.iter += 1;
-            return;
-        }
-        let mut feedbacks: Vec<(usize, Tensor)> = Vec::with_capacity(participants.len());
-        for (pos, &wi) in participants.iter().enumerate() {
-            let wtrack = Track::Worker((wi + 1) as u32);
-            // With churn the SPLIT rebalances over the worker's *position*
-            // in the alive view (same formula, dense index); without it the
-            // absolute slot keeps the pre-elastic assignment bit-for-bit.
-            let (g_id, d_id) = if churned {
-                MdServer::assign(pos, k_now)
-            } else {
-                MdServer::assign(wi, self.k)
-            };
-            let down = wire[g_id].1 + wire[d_id].1;
-            self.stats.record(0, wi + 1, down);
-            // Downlink: one reliable logical message, traced as a
-            // send→recv pair so the worker's compute hangs off it.
-            let sent = self.telemetry.trace_instant(
-                SpanKind::Send {
-                    to: (wi + 1) as u32,
-                    bytes: down,
-                    attempt: 1,
-                },
-                Track::Server,
-                rctx,
-                tick,
-            );
-            let got = self.telemetry.trace_instant(
-                SpanKind::Recv {
-                    from: 0,
-                    bytes: down,
-                },
-                wtrack,
-                TraceCtx {
-                    trace: rctx.trace,
-                    span: sent,
-                },
-                tick,
-            );
-            let fb_span = self.telemetry.span_at(
-                Phase::DFeedback,
-                wtrack,
-                TraceCtx {
-                    trace: rctx.trace,
-                    span: got,
-                },
-                tick,
-            );
-            let fctx = fb_span.ctx();
-            let worker = self.workers[wi].as_mut().expect("alive worker present");
-            let f = worker.process(
-                &wire[d_id].0,
-                &batches[d_id].1,
-                &wire[g_id].0,
-                &batches[g_id].1,
-            );
-            let f = self.attack_states[wi].apply(worker, &f, &wire[g_id].0, &batches[g_id].1);
-            let cf = self.feedback_codec.compress(&f);
-            let up = cf.wire_bytes();
-            self.stats.record(wi + 1, 0, up);
-            feedbacks.push((g_id, cf.decompress()));
-            drop(fb_span);
-            // Uplink feedback: send on the worker track, recv on the
-            // server track — what the critical-path extractor gates on.
-            let up_sent = self.telemetry.trace_instant(
-                SpanKind::Send {
-                    to: 0,
-                    bytes: up,
-                    attempt: 1,
-                },
-                wtrack,
-                fctx,
-                tick,
-            );
-            self.telemetry.trace_instant(
-                SpanKind::Recv {
-                    from: (wi + 1) as u32,
-                    bytes: up,
-                },
-                Track::Server,
-                TraceCtx {
-                    trace: rctx.trace,
-                    span: up_sent,
-                },
-                tick,
-            );
-            self.telemetry.worker_feedback(wi + 1);
-        }
-        let upd_span = self
-            .telemetry
-            .span_at(Phase::GUpdate, Track::Server, rctx, tick);
-        self.server
-            .apply_feedbacks_robust(&feedbacks, participants.len(), self.aggregation);
-        drop(upd_span);
-
-        // Swap every ⌊m·E/b⌋ iterations (Algorithm 1 line 11).
-        if (i + 1).is_multiple_of(self.swap_interval) {
-            let swap_span = self
-                .telemetry
-                .span_at(Phase::Swap, Track::Server, rctx, tick);
-            match &self.disc_hosts {
-                None => {
-                    if let Some(perm) =
-                        swap_permutation(self.cfg.swap, alive.len(), &mut self.swap_rng)
-                    {
-                        let params: Vec<Vec<f32>> = alive
-                            .iter()
-                            .map(|&wi| self.workers[wi].as_ref().unwrap().disc_params())
-                            .collect();
-                        for (j, &src) in alive.iter().enumerate() {
-                            let dst = alive[perm[j]];
-                            self.stats
-                                .record(src + 1, dst + 1, param_bytes(params[j].len()));
-                            self.workers[dst]
-                                .as_mut()
-                                .unwrap()
-                                .set_disc_params(&params[j]);
-                            self.telemetry.worker_swap_in(dst + 1);
-                        }
-                        self.swaps += 1;
-                        self.telemetry.event(Event::SwapDone {
-                            iter: i,
-                            moved: alive.len(),
-                        });
-                    }
-                }
-                Some(_) if self.cfg.swap != SwapPolicy::Disabled => {
-                    // §VII.4: relocate the m discriminators onto a fresh
-                    // random subset of the alive workers.
-                    let current = self.hosts(&alive);
-                    if !current.is_empty() && !alive.is_empty() {
-                        let m = current.len().min(alive.len());
-                        let picks = self.host_rng.sample_distinct(alive.len(), m);
-                        let new_hosts: Vec<usize> = picks.into_iter().map(|j| alive[j]).collect();
-                        let mut moved = 0;
-                        for (j, &src) in current.iter().take(m).enumerate() {
-                            let dst = new_hosts[j];
-                            if dst != src {
-                                let params = self.workers[src].as_ref().unwrap().disc_params();
-                                self.stats
-                                    .record(src + 1, dst + 1, param_bytes(params.len()));
-                                self.workers[dst].as_mut().unwrap().set_disc_params(&params);
-                                self.telemetry.worker_swap_in(dst + 1);
-                                moved += 1;
-                            }
-                        }
-                        self.disc_hosts = Some(new_hosts);
-                        self.swaps += 1;
-                        self.telemetry.event(Event::SwapDone { iter: i, moved });
-                    }
-                }
-                Some(_) => {}
-            }
-            drop(swap_span);
-        }
-        // Graceful leaves depart at the *end* of the iteration: the leaver
-        // drained its batches, sent its final feedback and took part in any
-        // swap above before its slot is released.
-        if churned {
-            let evs: Vec<ChurnEvent> = self.cfg.churn.events_at(i).copied().collect();
-            for ev in evs.iter().filter(|e| e.kind == ChurnKind::Leave) {
-                if self.membership.apply(ev).is_ok() {
-                    let slot = ev.worker - 1;
-                    self.workers[slot] = None;
-                    self.detector.forget(slot);
-                    self.stats.retire(slot + 1);
-                    self.telemetry.event(Event::WorkerLeft {
-                        iter: i,
-                        worker: ev.worker,
-                    });
-                }
-            }
-        }
-        drop(root);
-        self.iter += 1;
-        self.telemetry.event(Event::IterDone {
-            iter: i,
-            alive: alive.len(),
-        });
-    }
-
-    /// Bootstraps a joining worker's discriminator from the lowest-id alive
-    /// worker: the source ships its parameters to the server (charged W→C
-    /// at full parameter cost), the server wraps them in a checkpoint-v2
-    /// blob and forwards it to the joiner (charged C→W at blob size). With
-    /// no alive source the joiner keeps its fresh deterministic init.
-    fn bootstrap_joiner(
-        workers: &mut [Option<MdWorker>],
-        membership: &Membership,
-        stats: &TrafficStats,
-        telemetry: &Recorder,
-        iter: usize,
-        slot: usize,
-    ) {
-        let src = membership
-            .alive()
-            .into_iter()
-            .find(|&s| s != slot && workers[s].is_some());
-        let Some(src) = src else { return };
-        let params = workers[src].as_ref().unwrap().disc_params();
-        stats.record(src + 1, 0, param_bytes(params.len()));
-        let blob = crate::mdgan::bootstrap_blob(iter as u64, &params);
-        let blob_len = blob.len() as u64;
-        stats.record(0, slot + 1, blob_len);
-        let disc = crate::mdgan::bootstrap_disc(&blob).expect("fresh blob decodes");
-        if let Some(w) = workers[slot].as_mut() {
-            w.set_disc_params(&disc);
-        }
-        telemetry.event(Event::BootstrapDone {
-            iter,
-            worker: slot + 1,
-            bytes: blob_len,
-        });
-    }
-
-    /// One global iteration over the lossy network.
-    ///
-    /// Simulates exactly what the threaded runtime does under the same
-    /// [`FaultPlan`](md_simnet::FaultPlan) — same per-link fate draws in
-    /// the same order, same byte accounting, same detector transitions —
-    /// so the two produce bit-identical generators (asserted by the
-    /// equivalence tests). Crashes are *silent*: the server talks to every
-    /// worker its failure detector does not suspect, and learns about
-    /// deaths only through missed feedbacks.
-    fn step_robust(&mut self) {
-        assert!(
-            matches!(self.batch_codec, Codec::None) && matches!(self.feedback_codec, Codec::None),
-            "robust mode does not compose with codecs"
-        );
-        assert!(
-            self.disc_hosts.is_none(),
-            "robust mode hosts one discriminator per worker"
-        );
-        assert!(
-            self.cfg
-                .churn
-                .events()
+        let addressed = self
+            .book
+            .addressed(&self.cfg, i, self.disc_hosts.as_deref());
+        let mut heard = 0;
+        if !addressed.is_empty() {
+            let (k, split) = self.book.split(&self.cfg, self.k, &addressed);
+            let gen_span = telemetry.span_at(Phase::GenForward, Track::Server, rctx, tick);
+            let batches = self.server.generate_batches(k);
+            // With the identity codec the charged sizes are exactly the
+            // paper's 2bd down / bd up; lossy codecs shrink the wire and
+            // train on the reconstructed approximations.
+            let wire: Vec<(Tensor, u64)> = batches
                 .iter()
-                .all(|e| e.kind == ChurnKind::Crash),
-            "robust mode supports crash-only churn plans (joins and leaves need the oracle path)"
-        );
-        let i = self.iter;
-        let b = self.cfg.hyper.batch;
-        let d = self.object_size;
-        let retries = self.cfg.robust.retries;
-        let tick = i as u64;
-        let root = self.telemetry.trace_root(tick);
-        let rctx = root.ctx();
-
-        // Fail-stop crashes are injected but not announced.
-        for idx in 0..self.workers.len() {
-            if self.workers[idx].is_some() && self.cfg.crash.is_crashed(idx + 1, i) {
-                self.workers[idx] = None;
-                self.membership.crash(idx);
-                self.telemetry.event(Event::WorkerFault {
-                    iter: i,
-                    worker: idx + 1,
-                });
-            }
-        }
-        // Churn-plan crashes are equally silent: the ground truth changes,
-        // the server learns about it only through the failure detector.
-        let evs: Vec<ChurnEvent> = self.cfg.churn.events_at(i).copied().collect();
-        for ev in evs.iter().filter(|e| e.kind == ChurnKind::Crash) {
-            if self.membership.apply(ev).is_ok() {
-                self.workers[ev.worker - 1] = None;
-                self.telemetry.event(Event::WorkerFault {
-                    iter: i,
-                    worker: ev.worker,
-                });
-            }
-        }
-
-        // The server talks to every unsuspected worker; probe rounds also
-        // retry the suspected ones so false suspects can rejoin. Evicted
-        // workers are out permanently — not even probed.
-        let probe =
-            self.cfg.robust.probe_period > 0 && i.is_multiple_of(self.cfg.robust.probe_period);
-        let expected: Vec<usize> = (0..self.workers.len())
-            .filter(|&w| !self.detector.is_evicted(w) && (!self.detector.is_suspected(w) || probe))
-            .collect();
-        let mut heard_count = 0;
-        if !expected.is_empty() {
-            let gen_span = self
-                .telemetry
-                .span_at(Phase::GenForward, Track::Server, rctx, tick);
-            let batches = self.server.generate_batches(self.k);
+                .map(|(imgs, _)| {
+                    let c = self.batch_codec.compress(imgs);
+                    (c.decompress(), c.wire_bytes())
+                })
+                .collect();
             drop(gen_span);
-            let fs = self
-                .fault_state
-                .as_ref()
-                .expect("robust mode instantiates a fault state");
-
-            // Downlink, worker compute, uplink — worker by worker in id
-            // order. Every link carries at most one logical message per
-            // iteration, so per-link fate draws happen in the same order
-            // as in the threaded runtime.
-            let mut feedbacks: Vec<(usize, Tensor)> = Vec::new();
-            let mut heard: Vec<usize> = Vec::new();
-            for &wi in &expected {
-                let wtrack = Track::Worker((wi + 1) as u32);
-                let telemetry = &self.telemetry;
-                let (g_id, d_id) = MdServer::assign(wi, self.k);
-                let down_bytes = 2 * batch_bytes(b, d);
-                // The sequential runtime has no real queues, so the
-                // receive instant is recorded inside the deliver hook —
-                // exactly where the threaded runtime's endpoint records
-                // it when the envelope is popped.
-                let mut down_recv = 0u64;
-                let down = fs.transmit(
-                    0,
-                    wi + 1,
-                    tick,
-                    down_bytes,
-                    retries,
-                    &self.stats,
-                    Some(telemetry),
-                    rctx,
-                    |dup, sent| {
-                        if !dup && sent != 0 {
-                            down_recv = telemetry.trace_instant(
-                                SpanKind::Recv {
-                                    from: 0,
-                                    bytes: down_bytes,
-                                },
-                                wtrack,
-                                TraceCtx {
-                                    trace: rctx.trace,
-                                    span: sent,
-                                },
-                                tick,
-                            );
-                        }
-                    },
-                );
-                if !down.delivered {
+            // Downlink, worker compute, uplink — worker by worker. Every
+            // link carries at most one logical message per iteration, so
+            // per-link fate draws happen in the threaded runtime's order.
+            let mut feedbacks = Vec::with_capacity(addressed.len());
+            for (&wi, &(g_id, d_id)) in addressed.iter().zip(&split) {
+                let down = wire[g_id].1 + wire[d_id].1;
+                let Some(down_recv) = self.wire().send(0, wi + 1, down, tick, rctx) else {
                     continue;
-                }
-                // A crashed worker still received the batches (the bytes
-                // moved) but computes and answers nothing.
+                };
+                // A silently crashed worker still received the batches
+                // (the bytes moved) but computes and answers nothing.
                 let Some(worker) = self.workers[wi].as_mut() else {
                     continue;
                 };
-                let fb_span = self.telemetry.span_at(
+                let fb_span = telemetry.span_at(
                     Phase::DFeedback,
-                    wtrack,
+                    Track::Worker((wi + 1) as u32),
                     TraceCtx {
                         trace: rctx.trace,
                         span: down_recv,
                     },
                     tick,
                 );
-                let fctx = fb_span.ctx();
                 let f = worker.process(
-                    &batches[d_id].0,
+                    &wire[d_id].0,
                     &batches[d_id].1,
-                    &batches[g_id].0,
+                    &wire[g_id].0,
                     &batches[g_id].1,
                 );
-                let f =
-                    self.attack_states[wi].apply(worker, &f, &batches[g_id].0, &batches[g_id].1);
+                let f = self.attack_states[wi].apply(worker, &f, &wire[g_id].0, &batches[g_id].1);
+                let cf = self.feedback_codec.compress(&f);
+                let fctx = fb_span.ctx();
                 drop(fb_span);
-                self.telemetry.worker_feedback(wi + 1);
-                let up_bytes = (f.len() * 4) as u64;
-                let up = fs.transmit(
-                    wi + 1,
-                    0,
-                    tick,
-                    up_bytes,
-                    retries,
-                    &self.stats,
-                    Some(telemetry),
-                    fctx,
-                    |dup, sent| {
-                        if !dup && sent != 0 {
-                            telemetry.trace_instant(
-                                SpanKind::Recv {
-                                    from: (wi + 1) as u32,
-                                    bytes: up_bytes,
-                                },
-                                Track::Server,
-                                TraceCtx {
-                                    trace: fctx.trace,
-                                    span: sent,
-                                },
-                                tick,
-                            );
-                        }
-                    },
-                );
-                if up.delivered {
-                    feedbacks.push((g_id, f));
-                    heard.push(wi);
+                telemetry.worker_feedback(wi + 1);
+                if self
+                    .wire()
+                    .send(wi + 1, 0, cf.wire_bytes(), tick, fctx)
+                    .is_some()
+                {
+                    feedbacks.push((wi, g_id, cf.decompress()));
                 }
             }
-
-            // Feedback forensics: score every gathered feedback against
-            // the population, quarantine outliers of flagged workers (and
-            // non-finite payloads unconditionally).
-            let defense_on = self.cfg.defense.enabled;
-            let mut quarantined: Vec<bool> = vec![false; feedbacks.len()];
-            if defense_on {
-                let items: Vec<(usize, usize, &Tensor)> = heard
-                    .iter()
-                    .zip(feedbacks.iter())
-                    .map(|(&wi, (g_id, f))| (wi, *g_id, f))
-                    .collect();
-                let verdicts = self.forensics.observe(&items);
-                for (k, v) in verdicts.iter().enumerate() {
-                    quarantined[k] = v.quarantined;
-                    if v.newly_flagged {
-                        self.telemetry.event(Event::WorkerFlagged {
-                            iter: i,
-                            worker: v.worker + 1,
-                            norm_score: f64::from(v.norm_score),
-                            self_cos: f64::from(v.self_cos),
-                            peer_cos: f64::from(v.peer_cos),
-                        });
-                    }
-                    if v.cleared {
-                        self.telemetry.event(Event::WorkerCleared {
-                            iter: i,
-                            worker: v.worker + 1,
-                        });
-                    }
-                }
-            }
-
-            // Detector transitions, exactly once per expected worker. A
-            // flagged free-rider's feedback counts as *missed*: the same
-            // suspect → probe → evict machinery that removes crashed
-            // workers graduates persistent forensic outliers out of the
-            // membership view.
-            for &wi in &expected {
-                let flagged = defense_on && self.forensics.is_flagged(wi);
-                if heard.contains(&wi) && !flagged {
-                    if self.detector.heard(wi) == Liveness::Rejoined {
-                        self.telemetry.event(Event::WorkerRejoined {
-                            iter: i,
-                            worker: wi + 1,
-                        });
-                    }
-                } else {
-                    match self.detector.missed(wi) {
-                        Liveness::Suspected => {
-                            self.telemetry.event(Event::WorkerSuspected {
-                                iter: i,
-                                worker: wi + 1,
-                            });
-                        }
-                        Liveness::Evicted => {
-                            // Permanent: the membership view records the
-                            // eviction and the peer's traffic counters
-                            // freeze at their last values.
-                            self.membership.evict(wi);
-                            self.stats.retire(wi + 1);
-                            self.forensics.retire(wi);
-                            if flagged {
-                                self.telemetry.event(Event::FreeriderEvicted {
-                                    iter: i,
-                                    worker: wi + 1,
-                                });
-                            }
-                            self.telemetry.event(Event::WorkerEvicted {
-                                iter: i,
-                                worker: wi + 1,
-                            });
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            heard_count = heard.len();
-            let quorum = self.cfg.robust.quorum(expected.len());
-            let kept: Vec<(usize, Tensor)> = feedbacks
-                .into_iter()
-                .zip(quarantined.iter())
-                .filter(|(_, &q)| !q)
-                .map(|(f, _)| f)
-                .collect();
-            if heard_count >= quorum && !kept.is_empty() {
-                let upd_span = self
-                    .telemetry
-                    .span_at(Phase::GUpdate, Track::Server, rctx, tick);
+            heard = feedbacks.len();
+            let kept =
+                self.book
+                    .close(&self.cfg, i, &addressed, feedbacks, &self.stats, &telemetry);
+            if let Some(kept) = kept {
+                let upd_span = telemetry.span_at(Phase::GUpdate, Track::Server, rctx, tick);
                 self.server
                     .apply_feedbacks_robust(&kept, kept.len(), self.aggregation);
                 drop(upd_span);
-            } else if heard_count > 0 {
-                self.telemetry.event(Event::Custom {
-                    name: "quorum_missed",
-                    value: i as f64,
-                });
             }
 
-            // Swap round, routed around suspected peers. The discriminator
-            // transfer itself crosses the faulty network; a lost transfer
-            // leaves the destination on its old parameters (the threaded
-            // destination times out waiting).
+            // Swap every ⌊m·E/b⌋ iterations (Algorithm 1 line 11).
             if (i + 1).is_multiple_of(self.swap_interval) {
-                let swap_span = self
-                    .telemetry
-                    .span_at(Phase::Swap, Track::Server, rctx, tick);
-                let candidates: Vec<usize> = (0..self.workers.len())
-                    .filter(|&w| !self.detector.is_suspected(w))
-                    .collect();
-                if let Some(perm) =
-                    swap_permutation(self.cfg.swap, candidates.len(), &mut self.swap_rng)
-                {
-                    // Pre-swap snapshots; a crashed source sends nothing.
-                    let params: Vec<Option<Vec<f32>>> = candidates
-                        .iter()
-                        .map(|&wi| self.workers[wi].as_ref().map(|w| w.disc_params()))
-                        .collect();
-                    for (j, &src) in candidates.iter().enumerate() {
-                        let dst = candidates[perm[j]];
-                        let Some(p) = params[j].as_ref() else {
-                            continue;
-                        };
-                        let telemetry = &self.telemetry;
-                        let swap_bytes = param_bytes(p.len());
-                        let sctx = swap_span.ctx();
-                        let del = fs.transmit(
-                            src + 1,
-                            dst + 1,
-                            tick,
-                            swap_bytes,
-                            retries,
-                            &self.stats,
-                            Some(telemetry),
-                            sctx,
-                            |dup, sent| {
-                                if !dup && sent != 0 {
-                                    telemetry.trace_instant(
-                                        SpanKind::Recv {
-                                            from: (src + 1) as u32,
-                                            bytes: swap_bytes,
-                                        },
-                                        Track::Worker((dst + 1) as u32),
-                                        TraceCtx {
-                                            trace: sctx.trace,
-                                            span: sent,
-                                        },
-                                        tick,
-                                    );
-                                }
-                            },
-                        );
-                        if del.delivered {
-                            if let Some(w) = self.workers[dst].as_mut() {
-                                w.set_disc_params(p);
-                                self.telemetry.worker_swap_in(dst + 1);
-                            }
-                        } else if self.workers[dst].is_some() {
-                            self.telemetry.event(Event::Custom {
-                                name: "swap_timeout",
-                                value: (dst + 1) as f64,
-                            });
-                        }
-                    }
-                    self.swaps += 1;
-                    self.telemetry.event(Event::SwapDone {
-                        iter: i,
-                        moved: candidates.len(),
-                    });
+                let swap_span = telemetry.span_at(Phase::Swap, Track::Server, rctx, tick);
+                if self.disc_hosts.is_some() {
+                    self.relocate_hosts(i, &addressed, swap_span.ctx());
+                } else {
+                    self.swap(i, swap_span.ctx());
                 }
                 drop(swap_span);
             }
         }
+        for slot in self.book.finish(&self.cfg, i, &self.stats, &telemetry) {
+            self.workers[slot] = None;
+        }
         drop(root);
         self.iter += 1;
-        self.telemetry.event(Event::IterDone {
+        telemetry.event(Event::IterDone {
             iter: i,
-            alive: heard_count,
+            alive: heard,
+        });
+    }
+
+    /// The discriminator swap over the swap candidates. Each transfer
+    /// crosses the network; a lost one leaves the destination on its old
+    /// parameters (the threaded destination times out waiting).
+    fn swap(&mut self, i: usize, sctx: TraceCtx) {
+        let candidates = self.book.swap_candidates(&self.cfg);
+        let Some(perm) = swap_permutation(self.cfg.swap, candidates.len(), &mut self.swap_rng)
+        else {
+            return;
+        };
+        // Pre-swap snapshots; a silently crashed source sends nothing.
+        let params: Vec<Option<Vec<f32>>> = candidates
+            .iter()
+            .map(|&w| self.workers[w].as_ref().map(MdWorker::disc_params))
+            .collect();
+        for (j, &src) in candidates.iter().enumerate() {
+            let dst = candidates[perm[j]];
+            let Some(p) = &params[j] else { continue };
+            let delivered = self
+                .wire()
+                .send(src + 1, dst + 1, param_bytes(p.len()), i as u64, sctx)
+                .is_some();
+            match self.workers[dst].as_mut() {
+                Some(w) if delivered => {
+                    w.set_disc_params(p);
+                    self.telemetry.worker_swap_in(dst + 1);
+                }
+                Some(_) => self.telemetry.event(Event::Custom {
+                    name: "swap_timeout",
+                    value: (dst + 1) as f64,
+                }),
+                None => {}
+            }
+        }
+        self.swaps += 1;
+        self.telemetry.event(Event::SwapDone {
+            iter: i,
+            moved: candidates.len(),
+        });
+    }
+
+    /// §VII.4: relocates the discriminators of the current `hosts` onto a
+    /// fresh random subset of the alive workers.
+    fn relocate_hosts(&mut self, i: usize, hosts: &[usize], sctx: TraceCtx) {
+        if self.cfg.swap == SwapPolicy::Disabled {
+            return;
+        }
+        let alive = self.book.alive();
+        let picks = self.host_rng.sample_distinct(alive.len(), hosts.len());
+        let new_hosts: Vec<usize> = picks.into_iter().map(|j| alive[j]).collect();
+        let mut moved = 0;
+        for (&src, &dst) in hosts.iter().zip(&new_hosts) {
+            if dst != src {
+                let params = self.workers[src]
+                    .as_ref()
+                    .expect("a discriminator host runs")
+                    .disc_params();
+                self.wire()
+                    .send(src + 1, dst + 1, param_bytes(params.len()), i as u64, sctx);
+                self.workers[dst]
+                    .as_mut()
+                    .expect("alive workers run")
+                    .set_disc_params(&params);
+                self.telemetry.worker_swap_in(dst + 1);
+                moved += 1;
+            }
+        }
+        self.disc_hosts = Some(new_hosts);
+        self.swaps += 1;
+        self.telemetry.event(Event::SwapDone { iter: i, moved });
+    }
+
+    /// Bootstraps a joining worker's discriminator from `source`: the
+    /// source ships its parameters to the server (charged W→C at full
+    /// parameter cost), the server wraps them in a checkpoint-v2 blob and
+    /// forwards it to the joiner (charged C→W at blob size). With no
+    /// source the joiner keeps its fresh deterministic init.
+    fn bootstrap_joiner(&mut self, iter: usize, slot: usize, source: Option<usize>) {
+        let Some(src) = source else { return };
+        let params = self.workers[src]
+            .as_ref()
+            .expect("the bootstrap source runs")
+            .disc_params();
+        let blob = crate::mdgan::bootstrap_blob(iter as u64, &params);
+        let blob_len = blob.len() as u64;
+        let net = self.wire();
+        net.send_reliable(src + 1, 0, param_bytes(params.len()));
+        net.send_reliable(0, slot + 1, blob_len);
+        let disc = crate::mdgan::bootstrap_disc(&blob).expect("fresh blob decodes");
+        if let Some(w) = self.workers[slot].as_mut() {
+            w.set_disc_params(&disc);
+        }
+        self.telemetry.event(Event::BootstrapDone {
+            iter,
+            worker: slot + 1,
+            bytes: blob_len,
         });
     }
 
@@ -1283,7 +710,7 @@ mod tests {
     use super::*;
     use crate::config::{GanHyper, KPolicy};
     use md_data::synthetic::mnist_like;
-    use md_simnet::{CrashSchedule, LinkClass};
+    use md_simnet::{ChurnEvent, ChurnKind, ChurnPlan, CrashSchedule, LinkClass};
 
     fn build(workers: usize, k: KPolicy, swap: SwapPolicy, crash: CrashSchedule) -> MdGan {
         let data = mnist_like(12, workers * 32, 1, 0.08);
@@ -1766,7 +1193,7 @@ mod tests {
             if robust {
                 md.cfg.robust.enabled = true;
                 md.cfg.fault = FaultPlan::none();
-                md.fault_state = Some(FaultState::new(FaultPlan::none(), 4));
+                md.fault_state = FaultState::new(FaultPlan::none(), 4);
             }
             for _ in 0..10 {
                 md.step();
@@ -1827,7 +1254,7 @@ mod tests {
                 CrashSchedule::none(),
             );
             md.cfg.fault = FaultPlan::lossy(5, 0.1);
-            md.fault_state = Some(FaultState::new(FaultPlan::lossy(5, 0.1), 4));
+            md.fault_state = FaultState::new(FaultPlan::lossy(5, 0.1), 4);
             for _ in 0..10 {
                 md.step();
             }
@@ -1851,7 +1278,7 @@ mod tests {
         md.cfg.robust.enabled = true;
         md.cfg.robust.suspect_after = 2;
         md.cfg.robust.probe_period = 0;
-        md.fault_state = Some(FaultState::new(FaultPlan::none(), 4));
+        md.fault_state = FaultState::new(FaultPlan::none(), 4);
         for _ in 0..6 {
             md.step();
         }
@@ -2059,7 +1486,7 @@ mod tests {
         // suspicion threshold and into eviction territory.
         cfg.robust.probe_period = 1;
         let mut md = MdGan::new(&spec, shards, cfg).with_telemetry(Arc::clone(&rec));
-        md.fault_state = Some(FaultState::new(FaultPlan::none(), 4));
+        md.fault_state = FaultState::new(FaultPlan::none(), 4);
         for _ in 0..10 {
             md.step();
         }
@@ -2170,5 +1597,74 @@ mod tests {
         }
         assert!(md.gen_params().iter().all(|v| v.is_finite()));
         assert_eq!(md.iterations(), 6);
+    }
+
+    fn robust(mut md: MdGan) -> MdGan {
+        md.cfg.robust.enabled = true;
+        md
+    }
+
+    #[test]
+    #[should_panic(expected = "robust mode does not compose with codecs")]
+    fn robust_mode_refuses_codecs() {
+        let mut md = robust(build(
+            3,
+            KPolicy::One,
+            SwapPolicy::Disabled,
+            CrashSchedule::none(),
+        ))
+        .with_codecs(Codec::Quantize8, Codec::None);
+        md.step();
+    }
+
+    #[test]
+    #[should_panic(expected = "robust mode hosts one discriminator per worker")]
+    fn robust_mode_refuses_fewer_discriminators() {
+        let mut md = robust(build(
+            4,
+            KPolicy::One,
+            SwapPolicy::Derangement,
+            CrashSchedule::none(),
+        ))
+        .with_disc_count(2);
+        md.step();
+    }
+
+    #[test]
+    #[should_panic(expected = "robust mode supports crash-only churn plans")]
+    fn robust_mode_refuses_joins() {
+        let churn = ChurnPlan::from_events(
+            3,
+            vec![ChurnEvent {
+                iter: 2,
+                worker: 4,
+                kind: ChurnKind::Join,
+            }],
+        )
+        .unwrap();
+        let data = mnist_like(12, 4 * 32, 1, 0.08);
+        let shards = data.shard_iid(4, &mut Rng64::seed_from_u64(4));
+        let mut cfg = MdGanConfig {
+            workers: 3,
+            hyper: GanHyper {
+                batch: 4,
+                ..GanHyper::default()
+            },
+            churn,
+            ..MdGanConfig::default()
+        };
+        cfg.robust.enabled = true;
+        MdGan::new(&ArchSpec::mlp_mnist_scaled(12), shards, cfg).step();
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer-discriminators mode does not compose with elastic churn")]
+    fn fewer_discriminators_refuse_churn() {
+        let events = vec![ChurnEvent {
+            iter: 1,
+            worker: 2,
+            kind: ChurnKind::Leave,
+        }];
+        build_elastic(3, events).with_disc_count(2);
     }
 }

@@ -365,20 +365,12 @@ impl<M: Send> Endpoint<M> {
         }
     }
 
-    /// Receives exactly `n` messages and returns them sorted by sender id —
-    /// the deterministic gather used at synchronization barriers
-    /// (the server's `GETFEEDBACKFROMWORKERS()` in Algorithm 1).
-    pub fn recv_n_sorted(&self, n: usize) -> Vec<Envelope<M>> {
-        let mut out: Vec<Envelope<M>> = (0..n).map(|_| self.recv()).collect();
-        out.sort_by_key(|e| e.from);
-        out
-    }
-
-    /// Deadline-bounded barrier gather: collects at most one accepted
-    /// envelope per sender in `expected`, returning as soon as *all*
-    /// expected senders answered or the deadline elapsed — it never blocks
-    /// past `timeout`. `met_quorum` reports whether at least `quorum`
-    /// answered.
+    /// Barrier gather (the server's `GETFEEDBACKFROMWORKERS()` in
+    /// Algorithm 1): collects at most one accepted envelope per sender in
+    /// `expected`, sorted by sender id, returning as soon as *all* expected
+    /// senders answered or the deadline elapsed — it never blocks past
+    /// `timeout`. Without a timeout (`None`) it waits for every expected
+    /// sender. `met_quorum` reports whether at least `quorum` answered.
     ///
     /// `accept` filters payloads (e.g. "feedback for the current
     /// iteration"); rejected, unexpected or repeated envelopes are
@@ -387,17 +379,20 @@ impl<M: Send> Endpoint<M> {
         &self,
         expected: &[NodeId],
         quorum: usize,
-        timeout: Duration,
+        timeout: impl Into<Option<Duration>>,
         mut accept: impl FnMut(&Envelope<M>) -> bool,
     ) -> GatherResult<M> {
-        let deadline = Instant::now() + timeout;
+        let deadline = timeout.into().map(|t| Instant::now() + t);
         let mut envelopes: Vec<Envelope<M>> = Vec::with_capacity(expected.len());
         while envelopes.len() < expected.len() {
-            let left = deadline.saturating_duration_since(Instant::now());
-            let e = match self.rx.recv_timeout(left) {
-                Ok(e) => e,
-                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
+            let next = match deadline {
+                Some(d) => self
+                    .rx
+                    .recv_timeout(d.saturating_duration_since(Instant::now()))
+                    .ok(),
+                None => self.rx.recv().ok(),
             };
+            let Some(e) = next else { break };
             if e.duplicate {
                 continue;
             }
@@ -459,14 +454,16 @@ mod tests {
     }
 
     #[test]
-    fn recv_n_sorted_orders_by_sender() {
+    fn gather_without_deadline_waits_for_all_and_sorts_by_sender() {
         let mut router: Router<usize> = Router::new(3);
         let eps = router.all_endpoints();
         // Send out of order.
         eps[3].send(SERVER, 30, 1).unwrap();
         eps[1].send(SERVER, 10, 1).unwrap();
         eps[2].send(SERVER, 20, 1).unwrap();
-        let got = eps[0].recv_n_sorted(3);
+        let g = eps[0].recv_until_quorum(&[1, 2, 3], 3, None, |_| true);
+        assert!(g.complete && g.met_quorum);
+        let got = g.envelopes;
         assert_eq!(
             got.iter().map(|e| e.from).collect::<Vec<_>>(),
             vec![1, 2, 3]

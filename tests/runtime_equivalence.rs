@@ -3,12 +3,14 @@
 //! same generator and the same byte-level traffic.
 
 use mdgan_repro::core::config::{GanHyper, KPolicy, MdGanConfig, SwapPolicy};
-use mdgan_repro::core::mdgan::threaded::run_threaded;
+use mdgan_repro::core::mdgan::threaded::run_threaded_with;
 use mdgan_repro::core::{ArchSpec, MdGan};
 use mdgan_repro::data::synthetic::mnist_like;
 use mdgan_repro::data::Dataset;
 use mdgan_repro::simnet::{CrashSchedule, FaultPlan, Partition};
+use mdgan_repro::telemetry::{Counter, Recorder};
 use mdgan_repro::tensor::rng::Rng64;
+use std::sync::Arc;
 
 fn shards(workers: usize, seed: u64) -> Vec<Dataset> {
     let data = mnist_like(12, workers * 32, seed, 0.08);
@@ -20,9 +22,19 @@ fn check_equivalence(cfg: MdGanConfig, iters: usize) {
     let spec = ArchSpec::mlp_mnist_scaled(12);
     let sh = shards(cfg.workers, 11);
 
-    let threaded = run_threaded(&spec, sh.clone(), cfg.clone(), None, iters, 1_000_000);
+    let thr_rec = Arc::new(Recorder::enabled());
+    let threaded = run_threaded_with(
+        &spec,
+        sh.clone(),
+        cfg.clone(),
+        None,
+        iters,
+        1_000_000,
+        Arc::clone(&thr_rec),
+    );
 
-    let mut seq = MdGan::new(&spec, sh, cfg);
+    let seq_rec = Arc::new(Recorder::enabled());
+    let mut seq = MdGan::new(&spec, sh, cfg).with_telemetry(Arc::clone(&seq_rec));
     for _ in 0..iters {
         seq.step();
     }
@@ -48,6 +60,16 @@ fn check_equivalence(cfg: MdGanConfig, iters: usize) {
     assert_eq!(t.dup_bytes, s.dup_bytes, "dup_bytes diverged");
     assert_eq!(t.delayed_msgs, s.delayed_msgs, "delayed_msgs diverged");
     assert_eq!(t.retries, s.retries, "retries diverged");
+
+    // Every sent byte, retransmissions included, reaches the telemetry
+    // counters that run records and `/metrics` report.
+    let sent = seq_rec.counter(Counter::BytesSent);
+    assert_eq!(
+        thr_rec.counter(Counter::BytesSent),
+        sent,
+        "BytesSent counters diverged"
+    );
+    assert_eq!(sent, s.bytes_sent(), "BytesSent counter misses traffic");
 }
 
 /// Fault seed for the lossy variants; override with `FAULT_SEED=<n>` so CI
