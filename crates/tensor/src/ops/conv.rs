@@ -6,18 +6,29 @@
 //! * conv2d weights: `(O, C, KH, KW)` — `O` output channels
 //! * conv-transpose2d weights: `(C_in, C_out, KH, KW)` (PyTorch convention)
 //!
-//! Every path is an im2col-style GEMM, but the `(C*KH*KW, OH*OW)` column
-//! matrix is **never materialized**: the [`Im2colRhs`] / [`Im2colTRhs`]
-//! packers implement [`gemm::PackRhs`] and extract convolution patches on
-//! the fly straight into the GEMM's packed sliver format, and the
-//! transposed/grad-input paths fuse `col2im` into the GEMM epilogue via
-//! [`gemm::gemm_scatter`] (each finished row-block tile is scattered into
-//! the image and discarded). The reference [`im2col`] / [`col2im`]
-//! functions remain as the spec: every implicit path is bitwise identical
-//! to materialize-then-multiply (the packers read the exact same values
-//! and the GEMM's per-element `k`-order is unchanged; the tile scatter
-//! accumulates in the same ascending `(row, position)` order as
-//! [`col2im`]).
+//! Every call, forward or backward, runs **one GEMM per product over the
+//! whole batch**. The batch is folded into the GEMM's column extent for
+//! outputs and input gradients (`(C*KH*KW, B*OH*OW)` column matrix) and
+//! into its shared extent for weight gradients; either way the folded
+//! index is ordered `(sample, position)`. That matrix is **never
+//! materialized**: the [`Im2colRhs`] packer implements [`gemm::PackRhs`]
+//! for it and for its transpose, gathering patches straight into the
+//! GEMM's packed sliver format, and the transposed / grad-input paths fuse
+//! `col2im` into the GEMM epilogue via [`gemm::gemm_scatter`].
+//!
+//! Each call zero-pads its image batch once into a workspace buffer, so
+//! every tap of the virtual column matrix lies inside that buffer: the
+//! packer gathers through offset tables and the fused col2im accumulates
+//! into a padded image that is cropped afterwards, and no element is ever
+//! tested against an image edge.
+//!
+//! The reference [`im2col`] / [`col2im`] functions remain as the spec:
+//! every implicit path is bitwise identical to the per-sample
+//! materialize-then-multiply pipeline. The packers read the exact same
+//! values; each output element's `k`-order is unchanged (a weight gradient
+//! visits samples in ascending order, which is the per-sample accumulation
+//! order); and the epilogue accumulates every image element in ascending
+//! column-matrix row order, as [`col2im`] does.
 //!
 //! The transposed convolution is implemented as the exact adjoint of the
 //! convolution: its forward pass is a `col2im` scatter, and its backward
@@ -25,8 +36,7 @@
 //! forward is literally the gradient of `conv` with respect to its input,
 //! a property the unit tests check.
 
-use crate::ops::gemm::{self, Lhs, PackRhs, SliceRhs, NR};
-use crate::parallel;
+use crate::ops::gemm::{self, Lhs, PackRhs, SliceRhs, KC, NR};
 use crate::tensor::Tensor;
 use crate::workspace;
 
@@ -165,241 +175,282 @@ pub fn col2im(
     }
 }
 
-/// One sample's convolution geometry: the `(c, h, w)` image, the kernel,
-/// and the `(oh, ow)` output grid the column matrix ranges over. Shared by
-/// the implicit packers and the fused scatter so their index math cannot
-/// drift apart.
+/// Batched convolution geometry over a zero-padded image batch: `b` images
+/// of `(c, hp, wp)` (each already padded on every side), the kernel, and
+/// the `(oh, ow)` output grid. It describes the virtual batched column
+/// matrix `(c*kh*kw, b*oh*ow)`: row `(ci, ki, kj)`, column `(bi, oy, ox)`,
+/// whose element sits at padded-batch offset `row_offset + col_offset`.
+/// Every such offset is inside the padded batch, so neither the packer nor
+/// the fused scatter tests any index against an image edge. Shared by both
+/// so their index math cannot drift apart.
 #[derive(Clone, Copy)]
 struct ConvGeom {
+    b: usize,
     c: usize,
-    h: usize,
-    w: usize,
+    hp: usize,
+    wp: usize,
     kh: usize,
     kw: usize,
     stride: usize,
-    pad: usize,
     oh: usize,
     ow: usize,
 }
 
 impl ConvGeom {
-    /// Rows of the im2col column matrix: `c * kh * kw`.
+    /// Geometry of a `(b, c, h, w)` batch padded by `pad` on every side.
+    fn new(
+        (b, c, h, w): (usize, usize, usize, usize),
+        kh: usize,
+        kw: usize,
+        stride: usize,
+        pad: usize,
+        oh: usize,
+        ow: usize,
+    ) -> Self {
+        ConvGeom {
+            b,
+            c,
+            hp: h + 2 * pad,
+            wp: w + 2 * pad,
+            kh,
+            kw,
+            stride,
+            oh,
+            ow,
+        }
+    }
+
+    /// Rows of the column matrix: `c * kh * kw`.
     fn ckk(&self) -> usize {
         self.c * self.kh * self.kw
     }
 
-    /// Columns of the im2col column matrix: `oh * ow`.
-    fn ohw(&self) -> usize {
-        self.oh * self.ow
+    /// Columns of the batched column matrix: `b * oh * ow`.
+    fn cols(&self) -> usize {
+        self.b * self.oh * self.ow
     }
 
-    /// Splits a column-matrix row index into `(ci, ki, kj, image base)`.
+    /// Elements of one padded image.
+    fn image_len(&self) -> usize {
+        self.c * self.hp * self.wp
+    }
+
+    /// The implicit column matrix (or its transpose) over `xpad`, a padded
+    /// batch of this geometry.
+    fn im2col<'a>(&self, xpad: &'a [f32], transposed: bool) -> Im2colRhs<'a> {
+        Im2colRhs {
+            xpad,
+            g: *self,
+            transposed,
+        }
+    }
+
+    /// Offset of row `(ci, ki, kj)`'s tap within one padded image.
     #[inline]
-    fn split_row(&self, row: usize) -> (usize, usize, usize) {
+    fn row_offset(&self, row: usize) -> usize {
         let kj = row % self.kw;
         let ki = (row / self.kw) % self.kh;
         let ci = row / (self.kw * self.kh);
-        (ci, ki, kj)
+        (ci * self.hp + ki) * self.wp + kj
+    }
+
+    /// Offset of column `(bi, oy, ox)`'s patch origin in the padded batch.
+    #[inline]
+    fn col_offset(&self, col: usize) -> usize {
+        let ohw = self.oh * self.ow;
+        let bi = col / ohw;
+        let pos = col - bi * ohw;
+        let oy = pos / self.ow;
+        let ox = pos - oy * self.ow;
+        bi * self.image_len() + (oy * self.wp + ox) * self.stride
     }
 }
 
-/// Implicit im2col right-hand operand: the virtual `(c*kh*kw, oh*ow)`
-/// column matrix of one image, packed patch-by-patch on the fly. Reads the
-/// exact values [`im2col`] would have written
-/// (`cols[row][oy*ow + ox] = image[ci][oy*stride+ki-pad][ox*stride+kj-pad]`,
-/// zero outside the image), so a GEMM over this operand is bitwise
-/// identical to materialize-then-multiply.
+/// Implicit im2col right-hand operand: the virtual `(c*kh*kw, b*oh*ow)`
+/// column matrix of a padded batch — or, `transposed`, its
+/// `(b*oh*ow, c*kh*kw)` transpose for `grad_weight += g · cols^T` products
+/// whose shared extent runs over `(sample, position)` — gathered on the
+/// fly. Element `[row][col]` is the value [`im2col`] writes at
+/// `cols[row][oy*ow + ox]` for sample `bi` (a pad zero outside the image),
+/// so a GEMM over this operand is bitwise identical to
+/// materialize-then-multiply per sample.
 struct Im2colRhs<'a> {
-    image: &'a [f32],
+    xpad: &'a [f32],
     g: ConvGeom,
+    transposed: bool,
 }
 
 impl PackRhs for Im2colRhs<'_> {
     fn pack_panel(&self, bp: &mut [f32], kb: usize, kc: usize, jb: usize, nc: usize) {
-        let ConvGeom {
-            h,
-            w,
-            stride,
-            pad,
-            ow,
-            ..
-        } = self.g;
-        let n = self.g.ohw();
-        let nslivers = nc.div_ceil(NR);
-        for s in 0..nslivers {
+        // An element's offset is its row's tap offset plus its column's
+        // patch origin; the GEMM's `k` runs over rows unless transposed.
+        type OffsetFn = fn(&ConvGeom, usize) -> usize;
+        let (k_offset, n_offset): (OffsetFn, OffsetFn) = if self.transposed {
+            (ConvGeom::col_offset, ConvGeom::row_offset)
+        } else {
+            (ConvGeom::row_offset, ConvGeom::col_offset)
+        };
+        let mut panel_off = [0usize; KC];
+        for (p, off) in panel_off[..kc].iter_mut().enumerate() {
+            *off = k_offset(&self.g, kb + p);
+        }
+        for (s, sliver) in bp.chunks_exact_mut(kc * NR).enumerate() {
             let j0 = jb + s * NR;
-            let jw = NR.min(n - j0);
-            let sliver = &mut bp[s * kc * NR..(s + 1) * kc * NR];
-            for p in 0..kc {
-                let (ci, ki, kj) = self.g.split_row(kb + p);
-                let img_base = ci * h * w;
-                let dst = &mut sliver[p * NR..(p + 1) * NR];
+            let jw = NR.min(jb + nc - j0);
+            // Lanes past `jw` gather offset 0 and are zeroed below, so the
+            // gather loop always runs the full, unrolled NR.
+            let mut lane_off = [0usize; NR];
+            for (jj, off) in lane_off[..jw].iter_mut().enumerate() {
+                *off = n_offset(&self.g, j0 + jj);
+            }
+            for (&po, dst) in panel_off[..kc].iter().zip(sliver.chunks_exact_mut(NR)) {
+                let src = &self.xpad[po..];
+                for (d, &lo) in dst.iter_mut().zip(&lane_off) {
+                    *d = src[lo];
+                }
                 dst[jw..].fill(0.0);
-                // Walk the jw output positions one oy-row at a time so the
-                // vertical bounds check hoists out of the inner loop and
-                // stride-1 interior segments become contiguous copies —
-                // same traffic as `im2col`, minus the materialized matrix.
-                let mut jj = 0;
-                let mut oy = j0 / ow;
-                let mut ox = j0 - oy * ow;
-                while jj < jw {
-                    let seg = (ow - ox).min(jw - jj);
-                    let iy = (oy * stride + ki) as isize - pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        dst[jj..jj + seg].fill(0.0);
-                    } else {
-                        let img_row = img_base + iy as usize * w;
-                        pack_row_taps(
-                            &mut dst[jj..jj + seg],
-                            &self.image[img_row..img_row + w],
-                            ox,
-                            stride,
-                            kj as isize - pad as isize,
-                        );
-                    }
-                    jj += seg;
-                    ox = 0;
-                    oy += 1;
-                }
             }
         }
     }
 }
 
-/// Packs `dst.len()` horizontal kernel taps `ix = (ox + i) * stride + off`
-/// from one in-bounds image row, writing zero wherever `ix` falls outside
-/// the row. At stride 1 the valid window is a single contiguous
-/// `copy_from_slice`; larger strides fall back to a per-tap gather with
-/// only the horizontal check left.
-fn pack_row_taps(dst: &mut [f32], row: &[f32], ox: usize, stride: usize, off: isize) {
-    let seg = dst.len() as isize;
-    let w = row.len() as isize;
-    if stride == 1 {
-        let base = ox as isize + off; // tap i reads row[base + i]
-        let lo = (-base).clamp(0, seg) as usize;
-        let hi = (w - base).clamp(0, seg) as usize;
-        dst[..lo].fill(0.0);
-        if hi > lo {
-            let start = (base + lo as isize) as usize;
-            dst[lo..hi].copy_from_slice(&row[start..start + (hi - lo)]);
-        }
-        dst[hi.max(lo)..].fill(0.0);
-    } else {
-        for (i, d) in dst.iter_mut().enumerate() {
-            let ix = ((ox + i) * stride) as isize + off;
-            *d = if ix < 0 || ix >= w {
-                0.0
-            } else {
-                row[ix as usize]
-            };
-        }
+/// Offsets of the `oh*ow` output positions' patch origins within one
+/// padded image, `(oy*wp + ox) * stride`, for [`scatter_tile`]. They are
+/// held as `u32` bit patterns in a workspace buffer — the workspace
+/// recycles `f32` buffers only, and the entries are never used as numbers.
+fn position_offsets(g: &ConvGeom) -> Vec<f32> {
+    assert!(
+        g.hp * g.wp <= u32::MAX as usize,
+        "conv image plane too large for u32 offsets"
+    );
+    let mut pos = workspace::take_uninit(g.oh * g.ow);
+    for (p, off) in pos.iter_mut().enumerate() {
+        *off = f32::from_bits(g.col_offset(p) as u32);
     }
-}
-
-/// Transposed implicit im2col operand: the virtual `(oh*ow, c*kh*kw)`
-/// matrix `cols^T`, for `grad_weight += g · cols^T` products. Packing
-/// element `[p][j]` reads `cols[j][p]` — the same image loads as
-/// [`Im2colRhs`], transposed, so the accumulated gradients stay bitwise
-/// equal to the materialized path.
-struct Im2colTRhs<'a> {
-    image: &'a [f32],
-    g: ConvGeom,
-}
-
-impl PackRhs for Im2colTRhs<'_> {
-    fn pack_panel(&self, bp: &mut [f32], kb: usize, kc: usize, jb: usize, nc: usize) {
-        let ConvGeom {
-            h,
-            w,
-            stride,
-            pad,
-            ow,
-            ..
-        } = self.g;
-        let n = self.g.ckk();
-        let nslivers = nc.div_ceil(NR);
-        for s in 0..nslivers {
-            let j0 = jb + s * NR;
-            let jw = NR.min(n - j0);
-            let sliver = &mut bp[s * kc * NR..(s + 1) * kc * NR];
-            for jj in 0..NR {
-                if jj >= jw {
-                    for p in 0..kc {
-                        sliver[p * NR + jj] = 0.0;
-                    }
-                    continue;
-                }
-                let (ci, ki, kj) = self.g.split_row(j0 + jj);
-                let img_base = ci * h * w;
-                let off = kj as isize - pad as isize;
-                // `k` runs over output positions here; walk them one
-                // oy-row segment at a time (vertical check hoisted), same
-                // as the untransposed packer. Writes stay NR-strided.
-                let mut p = 0;
-                let mut oy = kb / ow;
-                let mut ox = kb - oy * ow;
-                while p < kc {
-                    let seg = (ow - ox).min(kc - p);
-                    let iy = (oy * stride + ki) as isize - pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        for q in 0..seg {
-                            sliver[(p + q) * NR + jj] = 0.0;
-                        }
-                    } else {
-                        let row_base = img_base + iy as usize * w;
-                        let row = &self.image[row_base..row_base + w];
-                        for q in 0..seg {
-                            let ix = ((ox + q) * stride) as isize + off;
-                            sliver[(p + q) * NR + jj] = if ix < 0 || ix >= w as isize {
-                                0.0
-                            } else {
-                                row[ix as usize]
-                            };
-                        }
-                    }
-                    p += seg;
-                    ox = 0;
-                    oy += 1;
-                }
-            }
-        }
-    }
+    pos
 }
 
 /// Fused-col2im epilogue for [`gemm::gemm_scatter`]: accumulates `rows`
-/// finished column-matrix rows (starting at global row `r0`) into the
-/// image. Row blocks arrive in ascending order and each row scatters its
-/// positions in ascending order, so the element-wise `+=` order is exactly
-/// [`col2im`]'s `(row, oy, ox)` loop nest — bitwise identical to
-/// materializing the whole column matrix first.
-fn scatter_tile(tile: &[f32], r0: usize, rows: usize, g: &ConvGeom, image: &mut [f32]) {
-    let ConvGeom {
-        h,
-        w,
-        stride,
-        pad,
-        oh,
-        ow,
-        ..
-    } = *g;
-    let n = oh * ow;
-    for r in 0..rows {
-        let (ci, ki, kj) = g.split_row(r0 + r);
-        let img_base = ci * h * w;
-        let trow = r * n;
-        for oy in 0..oh {
-            let iy = (oy * stride + ki) as isize - pad as isize;
-            if iy < 0 || iy >= h as isize {
-                continue;
+/// finished rows of the batched column matrix (starting at global row
+/// `r0`) into the padded image batch `acc`, walking each sample's
+/// positions through the [`position_offsets`] table `pos`. Row blocks
+/// arrive in ascending order and a row touches each image element at most
+/// once, so every element accumulates in ascending row order —
+/// [`col2im`]'s order, per sample. Contributions landing in the pad ring
+/// are cropped away later.
+fn scatter_tile(tile: &[f32], r0: usize, rows: usize, g: &ConvGeom, pos: &[f32], acc: &mut [f32]) {
+    let n = g.cols();
+    for (r, trow) in tile[..rows * n].chunks_exact(n).enumerate() {
+        let base = g.row_offset(r0 + r);
+        for (bi, src) in trow.chunks_exact(pos.len()).enumerate() {
+            let dst = &mut acc[base + bi * g.image_len()..];
+            for (&v, &off) in src.iter().zip(pos) {
+                dst[off.to_bits() as usize] += v;
             }
-            let img_row = img_base + iy as usize * w;
-            let col_base = trow + oy * ow;
-            for ox in 0..ow {
-                let ix = (ox * stride + kj) as isize - pad as isize;
-                if ix >= 0 && ix < w as isize {
-                    image[img_row + ix as usize] += tile[col_base + ox];
+        }
+    }
+}
+
+/// Copies a `(planes, h, w)` stack into the interior of a zeroed
+/// `(planes, h + 2*pad, w + 2*pad)` workspace buffer.
+fn pad_batch(x: &[f32], planes: usize, h: usize, w: usize, pad: usize) -> Vec<f32> {
+    let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+    let mut xpad = workspace::take_zeroed(planes * hp * wp);
+    if h * w > 0 {
+        for (src, dst) in x.chunks_exact(h * w).zip(xpad.chunks_exact_mut(hp * wp)) {
+            for (srow, drow) in src
+                .chunks_exact(w)
+                .zip(dst[pad * wp..].chunks_exact_mut(wp))
+            {
+                drow[pad..pad + w].copy_from_slice(srow);
+            }
+        }
+    }
+    xpad
+}
+
+/// Inverse of [`pad_batch`]: writes the interior of a padded `(b, c, hp,
+/// wp)` batch into `out` (`(b, c, h, w)`), adding `bias[ci]` when given.
+fn crop_batch(
+    xpad: &[f32],
+    out: &mut [f32],
+    c: usize,
+    h: usize,
+    w: usize,
+    pad: usize,
+    bias: Option<&[f32]>,
+) {
+    if h * w == 0 {
+        return;
+    }
+    let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+    for (plane, (src, dst)) in xpad
+        .chunks_exact(hp * wp)
+        .zip(out.chunks_exact_mut(h * w))
+        .enumerate()
+    {
+        for (srow, drow) in src[pad * wp..]
+            .chunks_exact(wp)
+            .zip(dst.chunks_exact_mut(w))
+        {
+            let srow = &srow[pad..pad + w];
+            match bias {
+                Some(bias) => {
+                    let bv = bias[plane % c];
+                    for (d, &s) in drow.iter_mut().zip(srow) {
+                        *d = s + bv;
+                    }
                 }
+                None => drow.copy_from_slice(srow),
             }
+        }
+    }
+}
+
+/// Copies a `(b, c, n)` batch into channel-major `(c, b*n)` order, the
+/// batched GEMM operand layout, in a workspace buffer.
+fn to_channel_major(x: &[f32], b: usize, c: usize, n: usize) -> Vec<f32> {
+    let mut out = workspace::take_uninit(b * c * n);
+    for bi in 0..b {
+        for ci in 0..c {
+            out[(ci * b + bi) * n..][..n].copy_from_slice(&x[(bi * c + ci) * n..][..n]);
+        }
+    }
+    out
+}
+
+/// Inverse of [`to_channel_major`]: writes the channel-major `(c, b*n)`
+/// product `src` into `out` as `(b, c, n)`, adding `bias[ci]` when given.
+fn from_channel_major(
+    src: &[f32],
+    out: &mut [f32],
+    b: usize,
+    c: usize,
+    n: usize,
+    bias: Option<&[f32]>,
+) {
+    for bi in 0..b {
+        for ci in 0..c {
+            let s = &src[(ci * b + bi) * n..][..n];
+            let d = &mut out[(bi * c + ci) * n..][..n];
+            match bias {
+                Some(bias) => {
+                    for (d, &s) in d.iter_mut().zip(s) {
+                        *d = s + bias[ci];
+                    }
+                }
+                None => d.copy_from_slice(s),
+            }
+        }
+    }
+}
+
+/// `grad_bias[ci] += Σ grad_out[bi][ci][..]`, one per-sample sum at a time
+/// in ascending sample order.
+fn accumulate_bias_grad(g: &[f32], b: usize, c: usize, n: usize, grad_bias: &mut [f32]) {
+    for bi in 0..b {
+        for (ci, gb) in grad_bias.iter_mut().enumerate() {
+            *gb += g[(bi * c + ci) * n..][..n].iter().sum::<f32>();
         }
     }
 }
@@ -429,40 +480,33 @@ pub fn conv2d_forward(
     }
     let oh = conv_out_dim(h, kh, stride, pad);
     let ow = conv_out_dim(w, kw, stride, pad);
-    let ckk = c * kh * kw;
-    let ohw = oh * ow;
+    let g = ConvGeom::new((b, c, h, w), kh, kw, stride, pad, oh, ow);
+    let n = g.cols();
 
-    let geom = ConvGeom {
-        c,
-        h,
-        w,
-        kh,
-        kw,
-        stride,
-        pad,
-        oh,
-        ow,
-    };
-    // Implicit GEMM per sample: out (o, ohw) = weight (o, ckk) x cols
-    // (ckk, ohw), with the column matrix packed on the fly — the GEMM
-    // fully overwrites every sample, so the buffer can start uninitialized.
-    let mut out = workspace::take_uninit(b * o * ohw);
-    let in_data = input.data();
-    let w_data = weight.data();
-    let b_data = bias.data();
-    parallel::parallel_for_chunks(&mut out, b, ckk * o * ohw, |bi, out_sample| {
-        let image = &in_data[bi * c * h * w..(bi + 1) * c * h * w];
-        let cols = Im2colRhs { image, g: geom };
-        gemm::gemm_with(Lhs::RowMajor(w_data), &cols, out_sample, o, ckk, ohw, false);
-        if has_bias {
-            for (oc, chunk) in out_sample.chunks_mut(ohw).enumerate() {
-                let bv = b_data[oc];
-                for v in chunk {
-                    *v += bv;
-                }
-            }
-        }
-    });
+    // One implicit GEMM over the batch: prod (o, b*ohw) = weight (o, ckk) x
+    // cols (ckk, b*ohw), fully overwritten, then reordered to (b, o, ohw).
+    let xpad = pad_batch(input.data(), b * c, h, w, pad);
+    let mut prod = workspace::take_uninit(o * n);
+    gemm::gemm_with(
+        Lhs::RowMajor(weight.data()),
+        &g.im2col(&xpad, false),
+        &mut prod,
+        o,
+        g.ckk(),
+        n,
+        false,
+    );
+    let mut out = workspace::take_uninit(b * o * oh * ow);
+    from_channel_major(
+        &prod,
+        &mut out,
+        b,
+        o,
+        oh * ow,
+        has_bias.then(|| bias.data()),
+    );
+    workspace::recycle(prod);
+    workspace::recycle(xpad);
     Tensor::new(&[b, o, oh, ow], out)
 }
 
@@ -496,8 +540,11 @@ pub fn conv2d_backward(
 /// returns only the freshly allocated input gradient.
 ///
 /// This is the hot-path entry point for training layers: it avoids
-/// allocating per-call gradient tensors and the extra accumulation pass,
-/// and reuses thread-local scratch for the `im2col` column buffers.
+/// allocating per-call gradient tensors and the extra accumulation pass.
+/// Its temporaries — the padded input batch (reused as the padded
+/// input-gradient accumulator), the channel-major `grad_out` copy, the
+/// scatter's position table and the GEMM packing panels — are drawn from
+/// [`crate::workspace`] and recycled before it returns.
 pub fn conv2d_backward_acc(
     input: &Tensor,
     weight: &Tensor,
@@ -519,53 +566,44 @@ pub fn conv2d_backward_acc(
         "conv2d grad_weight shape mismatch"
     );
     assert_eq!(grad_bias.len(), o, "conv2d grad_bias size mismatch");
-    let ckk = c * kh * kw;
-    let ohw = oh * ow;
+    let g = ConvGeom::new((b, c, h, w), kh, kw, stride, pad, oh, ow);
+    let (ckk, n) = (g.ckk(), g.cols());
 
-    let geom = ConvGeom {
-        c,
-        h,
-        w,
-        kh,
-        kw,
-        stride,
-        pad,
-        oh,
-        ow,
-    };
-    let mut grad_input = workspace::take_zeroed(input.len());
-    // weight.data() is already the (o, ckk) row-major matrix; the grad-input
-    // product needs its transpose, which Lhs::ColMajor reads in place — no
-    // materialized `w^T` copy.
-    let w2 = weight.data();
-    let gw = grad_weight.data_mut();
-    let gbias = grad_bias.data_mut();
+    let mut xpad = pad_batch(input.data(), b * c, h, w, pad);
+    let gcm = to_channel_major(grad_out.data(), b, o, oh * ow);
 
-    for bi in 0..b {
-        let image = &input.data()[bi * c * h * w..(bi + 1) * c * h * w];
-        let g = &grad_out.data()[bi * o * ohw..(bi + 1) * o * ohw];
+    // grad_weight += g (o, b*ohw) x cols^T (b*ohw, ckk): the shared extent
+    // runs over samples in ascending order, as per-sample `+=` calls would.
+    gemm::gemm_with(
+        Lhs::RowMajor(&gcm),
+        &g.im2col(&xpad, true),
+        grad_weight.data_mut(),
+        o,
+        n,
+        ckk,
+        true,
+    );
 
-        // grad_weight += g (o, ohw) x cols^T (ohw, ckk), with the
-        // transposed column matrix packed on the fly.
-        let cols_t = Im2colTRhs { image, g: geom };
-        gemm::gemm_with(Lhs::RowMajor(g), &cols_t, gw, o, ohw, ckk, true);
+    // grad_input = col2im(W^T (ckk, o) x g (o, b*ohw)), with col2im fused
+    // into the GEMM epilogue over the padded batch, which the weight
+    // gradient no longer needs. `Lhs::ColMajor` reads W^T in place.
+    xpad.fill(0.0);
+    let pos = position_offsets(&g);
+    gemm::gemm_scatter(
+        Lhs::ColMajor(weight.data()),
+        &SliceRhs::new(&gcm, false, o, n),
+        ckk,
+        o,
+        n,
+        |tile, r0, rows| scatter_tile(tile, r0, rows, &g, &pos, &mut xpad),
+    );
+    let mut grad_input = workspace::take_uninit(input.len());
+    crop_batch(&xpad, &mut grad_input, c, h, w, pad, None);
 
-        // grad_input = col2im(W^T (ckk, o) x g (o, ohw)), with col2im
-        // fused into the GEMM epilogue — grad_cols never materializes.
-        let gi = &mut grad_input[bi * c * h * w..(bi + 1) * c * h * w];
-        gemm::gemm_scatter(
-            Lhs::ColMajor(w2),
-            &SliceRhs::new(g, false, o, ohw),
-            ckk,
-            o,
-            ohw,
-            |tile, r0, rows| scatter_tile(tile, r0, rows, &geom, gi),
-        );
-
-        for oc in 0..o {
-            gbias[oc] += g[oc * ohw..(oc + 1) * ohw].iter().sum::<f32>();
-        }
-    }
+    accumulate_bias_grad(grad_out.data(), b, o, oh * ow, grad_bias.data_mut());
+    workspace::recycle(pos);
+    workspace::recycle(gcm);
+    workspace::recycle(xpad);
     Tensor::new(input.shape(), grad_input)
 }
 
@@ -597,51 +635,37 @@ pub fn conv_transpose2d_forward(
     }
     let oh = conv_transpose_out_dim(h, kh, stride, pad);
     let ow = conv_transpose_out_dim(w, kw, stride, pad);
-    let ckk = cout * kh * kw;
-    let hw = h * w;
 
-    // The conv whose adjoint we are: image (cout, oh, ow) -> columns over
-    // the input's (h, w) grid.
-    let geom = ConvGeom {
-        c: cout,
-        h: oh,
-        w: ow,
-        kh,
-        kw,
-        stride,
-        pad,
-        oh: h,
-        ow: w,
-    };
-    // weight.data() is the (cin, ckk) row-major matrix; Lhs::ColMajor reads
-    // its transpose in place, so the old per-call `w2^T` copy is gone.
-    let w_data = weight.data();
+    // The conv whose adjoint we are: image batch (b, cout, oh, ow) ->
+    // columns over the input's (h, w) grid.
+    let g = ConvGeom::new((b, cout, oh, ow), kh, kw, stride, pad, h, w);
+    let n = g.cols();
+    // cols (ckk, b*hw) = W2^T (ckk, cin) x x (cin, b*hw), scattered into the
+    // padded output batch tile by tile — the column matrix never exists.
+    let xcm = to_channel_major(input.data(), b, cin, h * w);
+    let mut opad = workspace::take_zeroed(b * g.image_len());
+    let pos = position_offsets(&g);
+    gemm::gemm_scatter(
+        Lhs::ColMajor(weight.data()),
+        &SliceRhs::new(&xcm, false, cin, n),
+        g.ckk(),
+        cin,
+        n,
+        |tile, r0, rows| scatter_tile(tile, r0, rows, &g, &pos, &mut opad),
+    );
     let mut out = workspace::take_uninit(b * cout * oh * ow);
-    let in_data = input.data();
-    let b_data = bias.data();
-    parallel::parallel_for_chunks(&mut out, b, cin * ckk * hw, |bi, out_sample| {
-        let x = &in_data[bi * cin * hw..(bi + 1) * cin * hw];
-        // cols (ckk, hw) = W2^T (ckk, cin) x x (cin, hw), scattered into
-        // the output image tile by tile — the column matrix never
-        // materializes.
-        out_sample.fill(0.0);
-        gemm::gemm_scatter(
-            Lhs::ColMajor(w_data),
-            &SliceRhs::new(x, false, cin, hw),
-            ckk,
-            cin,
-            hw,
-            |tile, r0, rows| scatter_tile(tile, r0, rows, &geom, out_sample),
-        );
-        if has_bias {
-            for (oc, chunk) in out_sample.chunks_mut(oh * ow).enumerate() {
-                let bv = b_data[oc];
-                for v in chunk {
-                    *v += bv;
-                }
-            }
-        }
-    });
+    crop_batch(
+        &opad,
+        &mut out,
+        cout,
+        oh,
+        ow,
+        pad,
+        has_bias.then(|| bias.data()),
+    );
+    workspace::recycle(pos);
+    workspace::recycle(opad);
+    workspace::recycle(xcm);
     Tensor::new(&[b, cout, oh, ow], out)
 }
 
@@ -671,9 +695,10 @@ pub fn conv_transpose2d_backward(
 
 /// As [`conv_transpose2d_backward`], but **accumulates** the weight and bias
 /// gradients into caller-owned tensors and returns only the input gradient.
-/// The training layers use this to cut per-step allocations; column buffers
-/// come from thread-local scratch and the input gradient is written in
-/// place, sample by sample.
+/// The training layers use this to cut per-step allocations; its
+/// temporaries — the padded `grad_out` batch, the channel-major input and
+/// input-gradient buffers and the GEMM packing panels — are drawn from
+/// [`crate::workspace`] and recycled before it returns.
 pub fn conv_transpose2d_backward_acc(
     input: &Tensor,
     weight: &Tensor,
@@ -695,46 +720,44 @@ pub fn conv_transpose2d_backward_acc(
         "conv_t grad_weight shape mismatch"
     );
     assert_eq!(grad_bias.len(), cout, "conv_t grad_bias size mismatch");
-    let ckk = cout * kh * kw;
-    let hw = h * w;
 
-    // dL/dcols = im2col(dL/dout) over the adjoint conv geometry; packed on
-    // the fly below instead of materialized.
-    let geom = ConvGeom {
-        c: cout,
-        h: oh,
-        w: ow,
-        kh,
-        kw,
-        stride,
-        pad,
-        oh: h,
-        ow: w,
-    };
-    // Every sample's slice is fully overwritten by the grad-input GEMM.
+    // dL/dcols = im2col(dL/dout) over the adjoint conv geometry, gathered
+    // on the fly from the padded grad_out batch.
+    let g = ConvGeom::new((b, cout, oh, ow), kh, kw, stride, pad, h, w);
+    let (ckk, n) = (g.ckk(), g.cols());
+    let gpad = pad_batch(grad_out.data(), b * cout, oh, ow, pad);
+
+    // dL/dx (cin, b*hw) = W2 (cin, ckk) x gcols (ckk, b*hw), reordered to
+    // (b, cin, hw).
+    let mut prod = workspace::take_uninit(cin * n);
+    gemm::gemm_with(
+        Lhs::RowMajor(weight.data()),
+        &g.im2col(&gpad, false),
+        &mut prod,
+        cin,
+        ckk,
+        n,
+        false,
+    );
     let mut grad_input = workspace::take_uninit(input.len());
-    let w2 = weight.data(); // (cin, ckk) row-major
-    let gw = grad_weight.data_mut();
-    let gbias = grad_bias.data_mut();
+    from_channel_major(&prod, &mut grad_input, b, cin, h * w, None);
+    workspace::recycle(prod);
 
-    for bi in 0..b {
-        let g = &grad_out.data()[bi * cout * oh * ow..(bi + 1) * cout * oh * ow];
-        let x = &input.data()[bi * cin * hw..(bi + 1) * cin * hw];
+    // dL/dW2 += x (cin, b*hw) x gcols^T (b*hw, ckk), samples ascending.
+    let xcm = to_channel_major(input.data(), b, cin, h * w);
+    gemm::gemm_with(
+        Lhs::RowMajor(&xcm),
+        &g.im2col(&gpad, true),
+        grad_weight.data_mut(),
+        cin,
+        n,
+        ckk,
+        true,
+    );
 
-        // dL/dx = W2 (cin, ckk) x gcols (ckk, hw), straight into place.
-        let gi = &mut grad_input[bi * cin * hw..(bi + 1) * cin * hw];
-        let gcols = Im2colRhs { image: g, g: geom };
-        gemm::gemm_with(Lhs::RowMajor(w2), &gcols, gi, cin, ckk, hw, false);
-
-        // dL/dW2 += x (cin, hw) x gcols^T (hw, ckk), directly into the
-        // caller's gradient.
-        let gcols_t = Im2colTRhs { image: g, g: geom };
-        gemm::gemm_with(Lhs::RowMajor(x), &gcols_t, gw, cin, hw, ckk, true);
-
-        for oc in 0..cout {
-            gbias[oc] += g[oc * oh * ow..(oc + 1) * oh * ow].iter().sum::<f32>();
-        }
-    }
+    accumulate_bias_grad(grad_out.data(), b, cout, oh * ow, grad_bias.data_mut());
+    workspace::recycle(xcm);
+    workspace::recycle(gpad);
     Tensor::new(input.shape(), grad_input)
 }
 

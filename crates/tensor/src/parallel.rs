@@ -5,8 +5,8 @@
 //! for threading to pay off, so parallelism is opt-in and chunk-based. The
 //! helpers here split an index range over a bounded number of long-lived
 //! pool workers (no OS thread is spawned in steady state) and are used by
-//! the batched convolution kernels, the matmul family and the transpose for
-//! large problem sizes.
+//! the packed GEMM behind the matmul family and the convolutions, and by
+//! the transpose, for large problem sizes.
 //!
 //! # Determinism
 //!
@@ -165,8 +165,8 @@ where
 }
 
 /// Splits `out` into `n` equal chunks and runs `body(i, chunk_i)` in
-/// parallel. This is the safe entry point for "one output slot per batch
-/// sample" kernels (conv2d over a batch, per-sample feedback application).
+/// parallel. This is the safe entry point for "one output slot per index"
+/// kernels (the transpose writes one output row per source column).
 ///
 /// Degenerate shapes are well-defined rather than panicking:
 /// * `n == 0` with an empty `out` is a no-op (a zero-batch kernel);

@@ -21,9 +21,9 @@
 //! * the **calling thread participates** as slot 0, so a parallelism of `T`
 //!   only ever needs `T - 1` pool workers;
 //! * nested data-parallel calls (a kernel invoked from inside another
-//!   kernel's parallel body, e.g. the per-sample matmul inside the batched
-//!   conv) degrade to sequential execution on the spot — the pool can never
-//!   deadlock on itself and nesting does not change results.
+//!   kernel's parallel body, e.g. a GEMM issued by a task that already runs
+//!   on the pool) degrade to sequential execution on the spot — the pool
+//!   can never deadlock on itself and nesting does not change results.
 //!
 //! Buffer recycling lives in [`crate::workspace`]: since the GEMM moved to
 //! a shared-panel packing schedule (and the convolutions to implicit

@@ -30,9 +30,11 @@
 //! packing workspace draws from it once per call, so the A/B panel buffers
 //! cost one mutex round trip instead of a multi-megabyte memset. All entry
 //! points are thread-safe behind one mutex — the lock is taken once per
-//! tensor allocation (nanoseconds), never per element; per-thread scratch
-//! stays on the thread-local paths in [`crate::pool`], so pool workers do
-//! not contend on it.
+//! tensor allocation (nanoseconds), never per element. There is no
+//! per-thread scratch anywhere in the crate: the GEMM's packing panels and
+//! the convolutions' temporaries (padded batches, channel-major copies,
+//! offset tables) are all drawn from this shelf once per call, and
+//! [`crate::pool`] is purely about threads.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};

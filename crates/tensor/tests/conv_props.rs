@@ -261,6 +261,135 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// conv2d on batches whose folded column extent `b*oh*ow` exceeds `KC`
+    /// (256) and is not a multiple of `NR` (16): the batched weight-gradient
+    /// GEMM splits its shared extent into several panels, and packed slivers
+    /// straddle sample boundaries. Bitwise against the per-sample
+    /// materialized references.
+    #[test]
+    fn conv2d_wide_batch_matches_materialized_bitwise(
+        b in 4usize..7,
+        c in 1usize..4,
+        o in 1usize..4,
+        oh_half in 4usize..7,
+        ow_half in 4usize..7,
+        kh in 1usize..4,
+        kw in 1usize..4,
+        s in 1usize..3,
+        p in 0usize..2,
+        tail in 0usize..2,
+        seed in 0u64..1024,
+    ) {
+        // Odd output sides: b*oh*ow >= 4*9*9 > 256 and never a multiple of 16.
+        let (oh, ow) = (2 * oh_half + 1, 2 * ow_half + 1);
+        // The input size that yields exactly (oh, ow) outputs, plus up to
+        // stride-1 trailing rows/columns the stride skips.
+        let h = (oh - 1) * s + kh - 2 * p + tail.min(s - 1);
+        let w = (ow - 1) * s + kw - 2 * p + tail.min(s - 1);
+        let x = filled(&[b, c, h, w], seed);
+        let wt = filled(&[o, c, kh, kw], seed ^ 0x11);
+        let bias = filled(&[o], seed ^ 0x22);
+
+        let got = conv2d_forward(&x, &wt, &bias, s, p);
+        let want = conv_ref_forward(&x, &wt, &bias, s, p);
+        prop_assert_eq!(got.shape()[2] * got.shape()[3], oh * ow);
+        assert_bits_eq(&got, &want, "conv2d forward");
+
+        let g = filled(got.shape(), seed ^ 0x33);
+        let (gx, gw, gb) = conv2d_backward(&x, &wt, &g, s, p);
+        let (gx_ref, gw_ref, gb_ref) = conv_ref_backward(&x, &wt, &g, s, p);
+        assert_bits_eq(&gx, &gx_ref, "conv2d grad_input");
+        assert_bits_eq(&gw, &gw_ref, "conv2d grad_weight");
+        assert_bits_eq(&gb, &gb_ref, "conv2d grad_bias");
+    }
+
+    /// conv_transpose2d on batches whose folded input grid `b*h*w` exceeds
+    /// `KC` and is not a multiple of `NR`: the shared extent of the batched
+    /// weight-gradient GEMM and the column extent of the grad-input GEMM
+    /// both cross panel and sample boundaries. Bitwise against the
+    /// per-sample materialized references.
+    #[test]
+    fn conv_t_wide_batch_matches_materialized_bitwise(
+        b in 4usize..7,
+        cin in 1usize..4,
+        cout in 1usize..4,
+        h_half in 4usize..7,
+        w_half in 4usize..7,
+        kh in 1usize..5,
+        kw in 1usize..5,
+        s in 1usize..3,
+        p in 0usize..3,
+        seed in 0u64..1024,
+    ) {
+        // Odd input sides: b*h*w >= 4*9*9 > 256 and never a multiple of 16.
+        let (h, w) = (2 * h_half + 1, 2 * w_half + 1);
+        let p = p.min(((h - 1) * s + kh - 1) / 2).min(((w - 1) * s + kw - 1) / 2);
+        let x = filled(&[b, cin, h, w], seed);
+        let wt = filled(&[cin, cout, kh, kw], seed ^ 0x44);
+        let bias = filled(&[cout], seed ^ 0x55);
+
+        let got = conv_transpose2d_forward(&x, &wt, &bias, s, p);
+        let want = conv_t_ref_forward(&x, &wt, &bias, s, p);
+        assert_bits_eq(&got, &want, "conv_t forward");
+
+        let g = filled(got.shape(), seed ^ 0x66);
+        let (gx, gw, gb) = conv_transpose2d_backward(&x, &wt, &g, s, p);
+        let (gx_ref, gw_ref, gb_ref) = conv_t_ref_backward(&x, &wt, &g, s, p);
+        assert_bits_eq(&gx, &gx_ref, "conv_t grad_input");
+        assert_bits_eq(&gw, &gw_ref, "conv_t grad_weight");
+        assert_bits_eq(&gb, &gb_ref, "conv_t grad_bias");
+    }
+}
+
+/// The benchmark's CNN geometries (16x16x3 images, width 16): the
+/// discriminator's conv 3->16->32 (k3 s2 p1) and the generator's
+/// conv-transpose 32->16->3 (k4 s2 p1), at batch 10 and 100, each under a
+/// 1- and a 4-thread budget, bitwise against the per-sample materialized
+/// references.
+#[test]
+fn benchmark_cnn_geometries_match_materialized_bitwise() {
+    use md_tensor::parallel::scoped_max_threads;
+    for b in [10, 100] {
+        for threads in [1, 4] {
+            let _g = scoped_max_threads(threads);
+            let ctx = |layer: &str| format!("{layer} b={b} threads={threads}");
+            for (i, (c, o, hw)) in [(3, 16, 16), (16, 32, 8)].into_iter().enumerate() {
+                let seed = 100 + i as u64;
+                let x = filled(&[b, c, hw, hw], seed);
+                let wt = filled(&[o, c, 3, 3], seed ^ 0x11);
+                let bias = filled(&[o], seed ^ 0x22);
+                let what = ctx(&format!("conv{}", i + 1));
+                let out = conv2d_forward(&x, &wt, &bias, 2, 1);
+                assert_bits_eq(&out, &conv_ref_forward(&x, &wt, &bias, 2, 1), &what);
+                let g = filled(out.shape(), seed ^ 0x33);
+                let (gx, gw, gb) = conv2d_backward(&x, &wt, &g, 2, 1);
+                let (gx_ref, gw_ref, gb_ref) = conv_ref_backward(&x, &wt, &g, 2, 1);
+                assert_bits_eq(&gx, &gx_ref, &format!("{what} grad_input"));
+                assert_bits_eq(&gw, &gw_ref, &format!("{what} grad_weight"));
+                assert_bits_eq(&gb, &gb_ref, &format!("{what} grad_bias"));
+            }
+            for (i, (cin, cout, hw)) in [(32, 16, 4), (16, 3, 8)].into_iter().enumerate() {
+                let seed = 200 + i as u64;
+                let x = filled(&[b, cin, hw, hw], seed);
+                let wt = filled(&[cin, cout, 4, 4], seed ^ 0x44);
+                let bias = filled(&[cout], seed ^ 0x55);
+                let what = ctx(&format!("convT{}", i + 1));
+                let out = conv_transpose2d_forward(&x, &wt, &bias, 2, 1);
+                assert_bits_eq(&out, &conv_t_ref_forward(&x, &wt, &bias, 2, 1), &what);
+                let g = filled(out.shape(), seed ^ 0x66);
+                let (gx, gw, gb) = conv_transpose2d_backward(&x, &wt, &g, 2, 1);
+                let (gx_ref, gw_ref, gb_ref) = conv_t_ref_backward(&x, &wt, &g, 2, 1);
+                assert_bits_eq(&gx, &gx_ref, &format!("{what} grad_input"));
+                assert_bits_eq(&gw, &gw_ref, &format!("{what} grad_weight"));
+                assert_bits_eq(&gb, &gb_ref, &format!("{what} grad_bias"));
+            }
+        }
+    }
+}
+
 /// A fixed larger odd-shape case crossing MC/KC/NC panel edges inside the
 /// per-sample GEMMs, plus thread-count invariance of the whole conv path
 /// (the per-sample batch split and the shared-panel GEMM schedule must
