@@ -99,16 +99,22 @@ fn bench_conv(c: &mut Criterion) {
 }
 
 fn bench_minibatch_disc(c: &mut Criterion) {
+    // The CNN discriminator's head (A=512, nb=8, nc=4) at the Table IV batch
+    // sizes; one iteration is a forward plus a backward pass, as in training.
     let mut g = c.benchmark_group("minibatch_discrimination");
     g.sample_size(10)
         .measurement_time(Duration::from_secs(2))
         .warm_up_time(Duration::from_millis(300));
     let mut rng = Rng64::seed_from_u64(3);
-    for &b in &[10usize, 50, 100] {
-        let mut layer = MinibatchDiscrimination::new(256, 8, 4, &mut rng);
-        let x = Tensor::randn(&[b, 256], &mut rng);
-        g.bench_with_input(BenchmarkId::new("forward", b), &b, |bench, _| {
-            bench.iter(|| std::hint::black_box(layer.forward(&x, true)));
+    for &b in &[10usize, 100] {
+        let mut layer = MinibatchDiscrimination::new(512, 8, 4, &mut rng);
+        let x = Tensor::randn(&[b, 512], &mut rng);
+        let grad = Tensor::randn(&[b, 520], &mut rng);
+        g.bench_with_input(BenchmarkId::new("forward_backward", b), &b, |bench, _| {
+            bench.iter(|| {
+                std::hint::black_box(layer.forward(&x, true));
+                std::hint::black_box(layer.backward(&grad))
+            });
         });
     }
     g.finish();

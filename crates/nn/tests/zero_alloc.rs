@@ -1,9 +1,10 @@
 //! Steady-state zero-allocation check for full training steps: a small
-//! MLP and a conv/conv-transpose stack run forward / backward / Adam
-//! updates, and after a few warmup iterations the workspace miss counter
-//! must stay flat — every tensor buffer the step needs (activations,
-//! gradients, im2col-free GEMM packing panels, optimizer temporaries) is
-//! served by recycling. The conv phase runs under a 4-thread budget so
+//! MLP, a conv/conv-transpose stack and the CNN discriminator's
+//! minibatch-discrimination head run forward / backward / Adam updates,
+//! and after a few warmup iterations the workspace miss counter must stay
+//! flat — every tensor buffer the step needs (activations, gradients,
+//! im2col-free GEMM packing panels, pair matrices, optimizer temporaries)
+//! is served by recycling. The conv phase runs under a 4-thread budget so
 //! the shared-panel GEMM's parallel pack/compute schedule is exercised,
 //! not just the serial fallback.
 //!
@@ -13,7 +14,9 @@
 
 use md_nn::init::Init;
 use md_nn::layer::Layer;
-use md_nn::layers::{Conv2d, ConvTranspose2d, Dense, LeakyRelu, Sequential, Tanh};
+use md_nn::layers::{
+    Conv2d, ConvTranspose2d, Dense, Flatten, LeakyRelu, MinibatchDiscrimination, Sequential, Tanh,
+};
 use md_nn::optim::{Adam, AdamConfig};
 use md_tensor::parallel::scoped_max_threads;
 use md_tensor::rng::Rng64;
@@ -75,10 +78,10 @@ fn training_step_allocates_nothing_after_warmup() {
     assert_steady_state(&mut net, &mut opt, &x, &target, 3, 8, "MLP");
 
     // Phase 2: implicit-GEMM conv + conv-transpose under a 4-thread budget.
-    // b=4 samples at 8x32x32 with 32 filters put the per-layer batch split
-    // (4 x 72*32*1024 ≈ 9.4M) above PAR_THRESHOLD, so the per-sample GEMMs
-    // really run on pool workers — and their packing panels must still come
-    // from the shared shelf, with zero steady-state misses.
+    // b=4 samples at 8x32x32 with 32 filters make each layer one whole-batch
+    // GEMM of 32 x 72 x 4096 (≈ 9.4M) above PAR_THRESHOLD, so it really runs
+    // on pool workers — and its packing panels must still come from the
+    // shared shelf, with zero steady-state misses.
     let _threads = scoped_max_threads(4);
     let mut conv_net = Sequential::new()
         .push(Conv2d::new(8, 32, 3, 1, 1, Init::HeNormal, &mut rng))
@@ -100,4 +103,25 @@ fn training_step_allocates_nothing_after_warmup() {
     // shelf buffers across sizes within the 4x waste window; the shelf
     // converges to a superset after the first couple of steps.
     assert_steady_state(&mut conv_net, &mut conv_opt, &cx, &ct, 4, 4, "conv");
+
+    // Phase 3: the CNN discriminator's head at the Table IV batch size b=100:
+    // Flatten -> MinibatchDiscrimination(512, 8, 4) -> Dense. The layer's
+    // feature-major M copy, its 100x100x8 pair matrix and its gradient
+    // scratch must all be recycled buffers.
+    let mut head = Sequential::new()
+        .push(Flatten::new())
+        .push(MinibatchDiscrimination::new(512, 8, 4, &mut rng))
+        .push(Dense::new(520, 1, Init::XavierUniform, &mut rng));
+    let mut head_opt = Adam::new(AdamConfig::default());
+    let hx = Tensor::randn(&[100, 32, 4, 4], &mut rng);
+    let ht = Tensor::randn(&[100, 1], &mut rng);
+    assert_steady_state(
+        &mut head,
+        &mut head_opt,
+        &hx,
+        &ht,
+        4,
+        4,
+        "minibatch-discrimination",
+    );
 }

@@ -359,7 +359,8 @@ mod tests {
         let inner = AtomicUsize::new(0);
         parallel_for(8, PAR_THRESHOLD, |_| {
             outer.fetch_add(1, Ordering::Relaxed);
-            // A kernel-within-a-kernel (conv's per-sample matmul shape).
+            // A kernel-within-a-kernel (a parallel GEMM called from a
+            // parallel region).
             parallel_for(4, PAR_THRESHOLD, |_| {
                 inner.fetch_add(1, Ordering::Relaxed);
             });

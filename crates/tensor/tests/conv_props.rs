@@ -391,9 +391,9 @@ fn benchmark_cnn_geometries_match_materialized_bitwise() {
 }
 
 /// A fixed larger odd-shape case crossing MC/KC/NC panel edges inside the
-/// per-sample GEMMs, plus thread-count invariance of the whole conv path
-/// (the per-sample batch split and the shared-panel GEMM schedule must
-/// both be bitwise thread-count independent).
+/// whole-batch GEMMs, plus thread-count invariance of the whole conv path
+/// (the shared-panel GEMM schedule over the batch-folded column extent
+/// must be bitwise thread-count independent).
 #[test]
 fn conv_paths_bitwise_identical_across_thread_counts() {
     use md_tensor::parallel::scoped_max_threads;
